@@ -119,22 +119,20 @@ def solve_clear(targets, q: int, shared=None):
 
 
 def apply_hom_pair(m: GradedMatrix, tp: TransformPair, tgt_rows, tgt_cols,
-                   src_rows, src_cols, qq: np.ndarray, pp: np.ndarray,
-                   extra_cols=()):
+                   src_rows, src_cols, qq: np.ndarray, pp: np.ndarray):
     """Add Q times the source block's rows into the target block's rows.
 
     The induced disturbance of the source columns (Q . M_src = M_tgt . P)
     is reverted with column additions of target columns into source
-    columns, so every proper block of the matrix is preserved; only the
-    columns listed in extra_cols (the pending batch columns) change.
+    columns, so every proper block of the matrix is preserved; only columns
+    outside both proper blocks (such as the batch columns) change.
     """
     q = m.field.q
-    touched = list(src_cols) + list(extra_cols)
     for a, ti in enumerate(tgt_rows):
         for b, si in enumerate(src_rows):
             c = int(qq[a, b]) % q
             if c:
-                m.row_add(si, ti, c, cols=touched)
+                m.row_add(si, ti, c)
                 tp.row_add(si, ti, c)
     for i, ci in enumerate(tgt_cols):
         for j, cj in enumerate(src_cols):

@@ -48,17 +48,20 @@ def _peak_memory_bytes() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
 
+def _input_error(msg: str):
+    click.echo(f"error: {msg}", err=True)
+    sys.exit(EXIT_INPUT)
+
+
 def _read_matrix(path: str, q: int) -> GradedMatrix:
     try:
         text = Path(path).read_text()
     except OSError as ex:
-        click.echo(f"error: cannot read {path}: {ex}", err=True)
-        sys.exit(EXIT_INPUT)
+        _input_error(f"cannot read {path}: {ex}")
     try:
         return parse_scc2020(text, FieldConfig(q))
     except (SccParseError, ValueError) as ex:
-        click.echo(f"error: {path}: {ex}", err=True)
-        sys.exit(EXIT_INPUT)
+        _input_error(f"{path}: {ex}")
 
 
 def _sparse_rows(rows) -> list:
@@ -73,6 +76,7 @@ def _report_json(report) -> dict:
             _signature_digest(s) for s in report.signatures
         ),
         "interval_flags": list(report.interval_flags),
+        "interval_decomposable": report.interval_decomposable,
         "strategy": report.strategy,
         "k_max": report.k_max,
         "kappa_max": report.kappa_max,
@@ -131,10 +135,8 @@ def main():
               help="Write the JSON report here instead of stdout.")
 @click.option("--output-dir", "-o", type=click.Path(),
               help="Write per-summand scc2020 files and certificate.json.")
-@click.option("--threads", type=int, default=1, show_default=True,
-              help="Best-effort; 1 keeps runs bit-reproducible.")
 def cmd_decompose(input_path, field, strategy, no_sweep, no_homset,
-                  do_verify, stats_path, output_dir, threads):
+                  do_verify, stats_path, output_dir):
     """Decompose an scc2020 presentation into indecomposable summands."""
     m = _read_matrix(input_path, field)
     try:
@@ -178,25 +180,31 @@ def cmd_verify(original, artifact_dir, field):
     try:
         cert = json.loads(cert_path.read_text())
     except (OSError, json.JSONDecodeError) as ex:
-        click.echo(f"error: {cert_path}: {ex}", err=True)
-        sys.exit(EXIT_INPUT)
-    if cert.get("schema") != CERT_SCHEMA:
-        click.echo(f"error: unknown certificate schema", err=True)
-        sys.exit(EXIT_INPUT)
+        _input_error(f"{cert_path}: {ex}")
+    if not isinstance(cert, dict) or cert.get("schema") != CERT_SCHEMA:
+        _input_error("unknown certificate schema")
+    if "field" not in cert:
+        _input_error(f"{cert_path}: no 'field' entry")
     if cert["field"] != field:
         _fail_verify(f"field mismatch: certificate has F_{cert['field']}")
     fq = FieldConfig(field)
     q = fq.q
-    m_min = parse_scc2020(cert["minimized"], fq)
-    m_final = parse_scc2020(cert["matrix"], fq)
+    try:
+        m_min = parse_scc2020(cert["minimized"], fq)
+        m_final = parse_scc2020(cert["matrix"], fq)
+        q_rows = [{k: v for k, v in row} for row in cert["q_rows"]]
+        pinv_rows = [{k: v for k, v in row} for row in cert["pinv_rows"]]
+        blocks = [(b["rows"], b["cols"], b["summand"]) for b in cert["blocks"]]
+    except (KeyError, TypeError, ValueError, SccParseError) as ex:
+        _input_error(f"{cert_path}: malformed certificate: {ex!r}")
 
     own_min, _ = minimize(m_in)
     if not own_min.equal(m_min):
         _fail_verify("certificate minimized input does not match original")
 
     tp = TransformPair(m_min.num_rows, m_min.num_cols, fq)
-    tp.q_rows = [{k: v for k, v in row} for row in cert["q_rows"]]
-    tp.pinv_rows = [{k: v for k, v in row} for row in cert["pinv_rows"]]
+    tp.q_rows = q_rows
+    tp.pinv_rows = pinv_rows
     if not tp.check_graded(m_min.row_degrees, m_min.col_degrees):
         _fail_verify("transform is not graded")
     if invert(tp.q_dense(), q) is None or invert(tp.pinv_dense(), q) is None:
@@ -208,19 +216,20 @@ def cmd_verify(original, artifact_dir, field):
         _fail_verify(f"transform identity fails at ({i}, {j})")
 
     seen_rows, seen_cols = set(), set()
-    for block in cert["blocks"]:
-        rows, cols = block["rows"], block["cols"]
-        summand = parse_scc2020(
-            (Path(artifact_dir) / block["summand"]).read_text(), fq
-        )
+    for rows, cols, name in blocks:
+        summand_path = Path(artifact_dir) / name
+        try:
+            summand = parse_scc2020(summand_path.read_text(), fq)
+        except OSError as ex:
+            _input_error(f"cannot read summand {summand_path}: {ex}")
+        except SccParseError as ex:
+            _input_error(f"{summand_path}: {ex}")
         sub = m_final.submatrix(rows, cols)
         if not sub.equal(summand):
             for j in range(sub.num_cols):
                 if sub.columns[j] != summand.columns[j]:
-                    _fail_verify(
-                        f"summand {block['summand']} differs in column {j}"
-                    )
-            _fail_verify(f"summand {block['summand']} differs in degrees")
+                    _fail_verify(f"summand {name} differs in column {j}")
+            _fail_verify(f"summand {name} differs in degrees")
         rset = set(rows)
         for j in cols:
             for i in m_final.columns[j]:
@@ -263,8 +272,7 @@ def cmd_generate(kind, num, rels, prob, grid_size, seed, field, output):
     try:
         fq = FieldConfig(field)
     except ValueError as ex:
-        click.echo(f"error: {ex}", err=True)
-        sys.exit(EXIT_INPUT)
+        _input_error(str(ex))
     m, sigs, k_max = _generate_instance(
         kind, num, rels, prob, grid_size, seed, fq
     )
@@ -366,8 +374,7 @@ def cmd_bench(kind, num, rels, prob, grid_size, instances, repeats, seed,
 def cmd_enum_dec(k, field):
     """Count the subspace decomposition pairs of F_q^k."""
     if k < 1:
-        click.echo("error: k must be >= 1", err=True)
-        sys.exit(EXIT_INPUT)
+        _input_error("k must be >= 1")
     FieldConfig(field)
     click.echo(str(dec_count(k, field)))
 
@@ -382,14 +389,21 @@ def cmd_hom(src_path, tgt_path, field, alpha):
     """Dimension of Hom between two presented modules (source first)."""
     src = _read_matrix(src_path, field)
     tgt = _read_matrix(tgt_path, field)
+    dims = {m.dim for m in (src, tgt) if m.dim}
+    if len(dims) > 1:
+        _input_error("the presentations have different parameter counts")
     hom = hom_space(src, tgt)
     click.echo(f"dim Hom = {hom.dim}")
     if alpha is not None:
         try:
             point = tuple(int(t) for t in alpha.split(","))
         except ValueError:
-            click.echo(f"error: bad degree {alpha!r}", err=True)
-            sys.exit(EXIT_INPUT)
+            _input_error(f"bad degree {alpha!r}")
+        if dims and len(point) not in dims:
+            _input_error(
+                f"degree {alpha!r} has {len(point)} coordinate(s), the "
+                f"presentations have {dims.pop()} parameter(s)"
+            )
         local = alpha_quotient(hom, src, tgt, point)
         click.echo(f"dim Hom^alpha = {local.dim}")
 

@@ -5,9 +5,10 @@ linear extension of the product order. Within a batch it first sweeps each
 pending column against the reduced low-degree columns of the blocks it
 touches, then tries to zero each block's sub-batch outright, and finally
 dispatches the surviving (blocks, columns) connected components to one of
-three strategies: exhaustive subspace enumeration, the digraph-driven
-strategy with per-component enumeration plus cocycle clearing, or the
-condensed interval fast path.
+two strategies: exhaustive subspace enumeration, or the digraph-driven
+strategy with per-component enumeration plus cocycle clearing. The
+interval_auto strategy runs the exhaustive path and reads the
+interval-decomposability decision off the summands.
 """
 
 from __future__ import annotations
@@ -18,16 +19,11 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import blockreduce
-from .fields import (
-    Preorder,
-    column_echelon,
-    invert,
-    preorder_row_eliminate,
-    solve,
-)
+from .fields import column_echelon, invert
 from .grading import (
     GradedMatrix,
     TransformPair,
+    _UnionFind,
     leq,
     minimize,
     sort_and_batch,
@@ -38,18 +34,13 @@ from .hom import (
     alpha_quotient,
     cokernel_at,
     hom_pairs,
-    induced_at_alpha,
 )
-from .intervals import check_interval, dim_at, interval_alpha_hom
+from .intervals import check_interval
 from .subspaces import generate_dec
 
 
 class DecompositionError(Exception):
     """Internal invariant violation during decomposition."""
-
-
-class _FallbackNeeded(Exception):
-    """Interval fast path cannot continue; redo the component exhaustively."""
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +131,34 @@ def condensation_order(vertices, edges):
     return order
 
 
+def _support_components(bids, cols, support):
+    """Connected components of the bipartite block/column support graph.
+
+    Args:
+        bids: block ids.
+        cols: column labels.
+        support: one boolean row per block, True where the block has an
+            entry in the column at that position.
+
+    Returns:
+        list of (sorted block ids, sorted columns), one per component, in
+        order of first appearance over bids and then cols.
+    """
+    nb = len(bids)
+    uf = _UnionFind(nb + len(cols))
+    for a, row in enumerate(support):
+        for c in np.flatnonzero(row):
+            uf.union(a, nb + int(c))
+    groups = {}
+    for x in range(nb + len(cols)):
+        groups.setdefault(uf.find(x), ([], []))
+    for a, b in enumerate(bids):
+        groups[uf.find(a)][0].append(b)
+    for c, j in enumerate(cols):
+        groups[uf.find(nb + c)][1].append(j)
+    return [(sorted(gb), sorted(gc)) for gb, gc in groups.values()]
+
+
 # ---------------------------------------------------------------------------
 # state
 
@@ -168,20 +187,13 @@ class _State:
         self.use_sweep = use_sweep
         self.use_homset = use_homset
         self.tp = TransformPair(m.num_rows, m.num_cols, m.field)
-        self.blocks: dict[int, Block] = {}
-        self.row_block = [0] * m.num_rows
-        self.next_bid = 0
-        for i in range(m.num_rows):
-            b = Block(self.next_bid, [i], [])
-            self.blocks[b.bid] = b
-            self.row_block[i] = b.bid
-            self.next_bid += 1
-        self.col_block = [-1] * m.num_cols
+        # one block per generator to start with; block ids are row indices
+        self.blocks = {i: Block(i, [i], []) for i in range(m.num_rows)}
+        self.row_block = list(range(m.num_rows))
         self._hom_cache = {}
         self._alpha_cache = {}
         self._proper_cache = {}
         self._cok_cache = {}
-        self._shape_cache = {}
         self.stats = {
             "k_max": 0,
             "kappa_max": 0,
@@ -190,39 +202,21 @@ class _State:
             "sweep_ops": 0,
             "merges": 0,
         }
-        self.interval_decomposable = None
 
     # -- block views --------------------------------------------------------
-
-    def block_matrix(self, bid: int) -> GradedMatrix:
-        b = self.blocks[bid]
-        return self.m.submatrix(b.rows, b.cols)
 
     def proper_matrix(self, bid: int, alpha) -> GradedMatrix:
         b = self.blocks[bid]
         key = (bid, b.version, tuple(alpha))
         cached = self._proper_cache.get(key)
         if cached is None:
-            cols = [c for c in b.cols if self.m.col_degrees[c] != alpha]
-            cached = self.m.submatrix(b.rows, cols)
+            cached = self.m.submatrix(b.rows, self.proper_cols(bid, alpha))
             self._proper_cache[key] = cached
         return cached
 
     def proper_cols(self, bid: int, alpha):
         b = self.blocks[bid]
         return [c for c in b.cols if self.m.col_degrees[c] != alpha]
-
-    def slice_of(self, bid: int, cols) -> np.ndarray:
-        """Dense (block rows) x (given columns) slice of the matrix."""
-        b = self.blocks[bid]
-        rmap = {r: a for a, r in enumerate(b.rows)}
-        out = np.zeros((len(b.rows), len(cols)), dtype=np.int64)
-        for jc, j in enumerate(cols):
-            for i, v in self.m.columns[j].items():
-                a = rmap.get(i)
-                if a is not None:
-                    out[a, jc] = v
-        return out
 
     def support_blocks(self, cols):
         """Blocks owning a row with an entry in any of the given columns."""
@@ -232,25 +226,12 @@ class _State:
                 out.add(self.row_block[i])
         return sorted(out)
 
-    def unassigned_cols(self):
-        """Columns not yet assigned to any block (pending or future batches).
-
-        Source rows of a morphism-pair row addition may carry entries in any
-        of these, so they must always be included in the touched set.
-        """
-        return [c for c in range(self.m.num_cols) if self.col_block[c] == -1]
-
     def low_cols_dense(self, bid: int, alpha):
-        """Dense matrix of the block's columns of degree <= alpha, over its rows."""
+        """Dense matrix of the block's columns of degree < alpha, over its rows."""
         b = self.blocks[bid]
         cols = [c for c in b.cols if leq(self.m.col_degrees[c], alpha)
                 and self.m.col_degrees[c] != alpha]
-        rmap = {r: a for a, r in enumerate(b.rows)}
-        out = np.zeros((len(b.rows), len(cols)), dtype=np.int64)
-        for jc, j in enumerate(cols):
-            for i, v in self.m.columns[j].items():
-                out[rmap[i], jc] = v
-        return out, cols
+        return self.m.dense_slice(b.rows, cols), cols
 
     # -- caches -------------------------------------------------------------
 
@@ -289,7 +270,7 @@ class _State:
             raw = self.hom_between(src_bid, tgt_bid, alpha)
             src = self.proper_matrix(src_bid, alpha)
             tgt = self.proper_matrix(tgt_bid, alpha)
-            hb = HomBasis(raw, len(raw), len(raw), None)
+            hb = HomBasis(raw, len(raw), len(raw))
             aq = alpha_quotient(
                 hb, src, tgt, alpha,
                 cok_src=self.cok_at(src_bid, alpha),
@@ -302,13 +283,6 @@ class _State:
         if self.use_homset:
             return self.alpha_reps(src_bid, tgt_bid, alpha).representatives
         return self.hom_between(src_bid, tgt_bid, alpha)
-
-    def interval_shape(self, bid: int):
-        b = self.blocks[bid]
-        key = (bid, b.version)
-        if key not in self._shape_cache:
-            self._shape_cache[key] = check_interval(self.block_matrix(bid))
-        return self._shape_cache[key]
 
     # -- structure updates --------------------------------------------------
 
@@ -323,12 +297,9 @@ class _State:
             b.cols = sorted(b.cols + ob.cols)
             for r in ob.rows:
                 self.row_block[r] = keep
-            for c in ob.cols:
-                self.col_block[c] = keep
         for c in cols:
             if c not in b.cols:
                 b.cols = sorted(b.cols + [c])
-            self.col_block[c] = keep
         b.version += 1
         if len(bids) > 1:
             self.stats["merges"] += 1
@@ -359,8 +330,8 @@ class _State:
             self.m.columns[p] = new
         self.tp.col_transform(positions, t_inv)
 
-    def apply_clear(self, tgt_bid, alpha, sources, u_combos, pending_cols):
-        """Apply one solved clearing operation for a target block.
+    def apply_clear(self, tgt_bid, alpha, sources):
+        """Apply the morphism-pair row additions of a solved clearing.
 
         The morphism pairs are taken between proper presentations (columns
         of degree other than alpha), so the compensating column additions
@@ -371,23 +342,32 @@ class _State:
             tgt_bid: target block id.
             alpha: batch degree.
             sources: list of (src_bid, Qsum, Psum) morphism-pair sums.
-            u_combos: list of (dst_col, [(src_col, coef), ...]) from the
-                target's own low-degree columns.
-            pending_cols: batch columns not yet assigned to a block.
         """
         tb = self.blocks[tgt_bid]
         tgt_proper = self.proper_cols(tgt_bid, alpha)
-        free = self.unassigned_cols()
         for src_bid, qq, pp in sources:
-            sb = self.blocks[src_bid]
-            src_proper = self.proper_cols(src_bid, alpha)
-            src_owned = [c for c in sb.cols if c not in set(src_proper)]
             blockreduce.apply_hom_pair(
-                self.m, self.tp, tb.rows, tgt_proper, sb.rows, src_proper,
-                qq, pp, extra_cols=free + src_owned,
+                self.m, self.tp, tb.rows, tgt_proper,
+                self.blocks[src_bid].rows, self.proper_cols(src_bid, alpha),
+                qq, pp,
             )
-        for dst, combo in u_combos:
-            blockreduce.apply_col_combo(self.m, self.tp, dst, combo)
+
+    def apply_col_solution(self, x: np.ndarray, src_cols, dst_cols) -> int:
+        """Column dst_cols[j] += sum over a of x[a, j] * column src_cols[a].
+
+        Returns:
+            the number of destination columns that received an addition.
+        """
+        changed = 0
+        for jc, dst in enumerate(dst_cols):
+            combo = [
+                (src_cols[a], int(x[a, jc])) for a in range(len(src_cols))
+                if x[a, jc] % self.q
+            ]
+            if combo:
+                blockreduce.apply_col_combo(self.m, self.tp, dst, combo)
+                changed += 1
+        return changed
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +380,10 @@ class _Trial:
         self.state = state
         self.alpha = alpha
         self.cols = list(cols)
-        self.slices = {b: state.slice_of(b, self.cols) for b in bids}
+        self.slices = {
+            b: state.m.dense_slice(state.blocks[b].rows, self.cols)
+            for b in bids
+        }
         self.log = []
 
     def snapshot(self):
@@ -437,7 +420,8 @@ class _Trial:
                 self.slices[tgt_bid] + qq @ self.slices[src_bid]
             ) % q
         if u_mat is not None and u_mat.size:
-            bu = self._u_dense(tgt_bid, u_cols)
+            bu = self.state.m.dense_slice(
+                self.state.blocks[tgt_bid].rows, u_cols)
             self.slices[tgt_bid][:, positions] = (
                 self.slices[tgt_bid][:, positions] + bu @ u_mat
             ) % q
@@ -453,15 +437,6 @@ class _Trial:
             s[:, dst_pos] = (s[:, dst_pos] + s[:, src_pos] @ s_mat) % q
         self.log.append(("colops", list(src_pos), list(dst_pos), s_mat.copy()))
 
-    def _u_dense(self, bid, u_cols):
-        b = self.state.blocks[bid]
-        rmap = {r: a for a, r in enumerate(b.rows)}
-        out = np.zeros((len(b.rows), len(u_cols)), dtype=np.int64)
-        for jc, j in enumerate(u_cols):
-            for i, v in self.state.m.columns[j].items():
-                out[rmap[i], jc] = v
-        return out
-
     def commit(self):
         st = self.state
         for op in self.log:
@@ -470,30 +445,14 @@ class _Trial:
                 st.apply_coltrans([self.cols[p] for p in positions], t)
             elif op[0] == "colops":
                 _, src_pos, dst_pos, s_mat = op
-                for jc, p in enumerate(dst_pos):
-                    combo = [
-                        (self.cols[sp], int(s_mat[a, jc]))
-                        for a, sp in enumerate(src_pos)
-                        if s_mat[a, jc] % st.q
-                    ]
-                    if combo:
-                        for src, coef in combo:
-                            st.m.col_add(src, self.cols[p], coef)
-                            st.tp.col_add(src, self.cols[p], coef)
+                st.apply_col_solution(s_mat, [self.cols[p] for p in src_pos],
+                                      [self.cols[p] for p in dst_pos])
             else:
                 _, tgt_bid, positions, sources, u_mat, u_cols = op
-                u_combos = []
-                if u_mat is not None and u_mat.size:
-                    for jc, p in enumerate(positions):
-                        combo = [
-                            (u_cols[a], int(u_mat[a, jc]))
-                            for a in range(len(u_cols))
-                            if u_mat[a, jc] % st.q
-                        ]
-                        if combo:
-                            u_combos.append((self.cols[p], combo))
-                st.apply_clear(tgt_bid, self.alpha, sources, u_combos,
-                               pending_cols=self.cols)
+                st.apply_clear(tgt_bid, self.alpha, sources)
+                if u_mat is not None:
+                    st.apply_col_solution(u_mat, u_cols,
+                                          [self.cols[p] for p in positions])
         self.log = []
 
 
@@ -550,7 +509,8 @@ def _try_clear_trial(state: _State, trial: _Trial, tgt_bid, positions,
     sources = _group_sources(lams, lam_meta, state.q)
     u_mat = colvals[0] if col_terms else None
     trial.clear(tgt_bid, positions, sources, u_mat, u_cols)
-    assert not np.any(trial.slices[tgt_bid][:, positions])
+    if trial.nonzero(tgt_bid, positions):
+        raise DecompositionError("solved clearing left a nonzero slice")
     return True
 
 
@@ -589,44 +549,9 @@ def _try_clear_joint(state: _State, trial: _Trial, tgt_bids, positions,
             trial.clear(tgt, positions, sources, u_mat, u_cols)
     if s_val is not None and np.any(s_val):
         trial.col_ops(s_pos, positions, s_val)
-    assert all(not trial.nonzero(t, positions) for t in tgt_bids)
+    if any(trial.nonzero(t, positions) for t in tgt_bids):
+        raise DecompositionError("solved joint clearing left a nonzero slice")
     return True
-
-
-def _components(trial: _Trial, bids, positions):
-    """Connected components of the block/column support graph."""
-    bids = sorted(bids)
-    parent = {("b", b): ("b", b) for b in bids}
-    for p in positions:
-        parent[("c", p)] = ("c", p)
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for b in bids:
-        s = trial.slices[b]
-        for p in positions:
-            if np.any(s[:, p]):
-                union(("b", b), ("c", p))
-    groups = {}
-    for key in parent:
-        groups.setdefault(find(key), ([], []))
-    for b in bids:
-        groups[find(("b", b))][0].append(b)
-    for p in positions:
-        groups[find(("c", p))][1].append(p)
-    return [
-        (sorted(gb), sorted(gc))
-        for gb, gc in groups.values()
-    ]
 
 
 def _exhaustive_split(state: _State, trial: _Trial, bids, positions,
@@ -640,7 +565,9 @@ def _exhaustive_split(state: _State, trial: _Trial, bids, positions,
     """
     groups = []
     detached = []
-    for comp_bids, comp_pos in _components(trial, bids, positions):
+    bids = sorted(bids)
+    support = [np.any(trial.slices[b][:, positions], axis=0) for b in bids]
+    for comp_bids, comp_pos in _support_components(bids, positions, support):
         if not comp_pos:
             continue  # blocks untouched by the batch stay as they are
         if not comp_bids:
@@ -709,29 +636,7 @@ def _exhaustive_component(state: _State, trial: _Trial, bids, positions,
 
 
 # ---------------------------------------------------------------------------
-# direct (non-trial) clearing helpers
-
-
-def _u_clear(state: _State, bid, cols, alpha):
-    """Zero a block's slice of the given batch columns using only column
-    additions from the block's own columns of degree <= alpha."""
-    sl = state.slice_of(bid, cols)
-    if not np.any(sl):
-        return
-    q = state.q
-    bu, u_cols = state.low_cols_dense(bid, alpha)
-    x = solve(bu, (-sl) % q, q)
-    if x is None:
-        raise DecompositionError("expected column-clearable slice")
-    if x.ndim == 1:
-        x = x.reshape(-1, 1)
-    for jc, col in enumerate(cols):
-        combo = [
-            (u_cols[a], int(x[a, jc])) for a in range(len(u_cols))
-            if x[a, jc] % q
-        ]
-        if combo:
-            blockreduce.apply_col_combo(state.m, state.tp, col, combo)
+# sweep
 
 
 def _sweep_block(state: _State, bid, cols, alpha):
@@ -742,17 +647,10 @@ def _sweep_block(state: _State, bid, cols, alpha):
     if not bu.shape[1]:
         return
     e, piv, t = column_echelon(bu, q)
-    blk = state.blocks[bid]
-    rmap = {r: a for a, r in enumerate(blk.rows)}
-    for j in cols:
-        v = np.zeros(len(blk.rows), dtype=np.int64)
-        hit = False
-        for i, val in state.m.columns[j].items():
-            a = rmap.get(i)
-            if a is not None:
-                v[a] = val
-                hit = True
-        if not hit:
+    sl = state.m.dense_slice(state.blocks[bid].rows, cols)
+    for jc, j in enumerate(cols):
+        v = sl[:, jc]
+        if not np.any(v):
             continue
         combo = np.zeros(len(u_cols), dtype=np.int64)
         for cidx, p in enumerate(piv):
@@ -760,13 +658,8 @@ def _sweep_block(state: _State, bid, cols, alpha):
                 coef = int(v[p]) % q
                 v = (v - coef * e[:, cidx]) % q
                 combo = (combo - coef * t[:, cidx]) % q
-        ops = [
-            (u_cols[a], int(combo[a])) for a in range(len(u_cols))
-            if combo[a] % q
-        ]
-        if ops:
-            blockreduce.apply_col_combo(state.m, state.tp, j, ops)
-            state.stats["sweep_ops"] += 1
+        state.stats["sweep_ops"] += state.apply_col_solution(
+            combo.reshape(-1, 1), u_cols, [j])
 
 
 # ---------------------------------------------------------------------------
@@ -781,58 +674,38 @@ def _cocycle_clear(state: _State, d, c, dcols, alpha, owned) -> bool:
     batch columns into d's. Applied immediately on success.
     """
     q = state.q
-    cslice = state.slice_of(c, dcols)
+    crows = state.blocks[c].rows
+    cslice = state.m.dense_slice(crows, dcols)
     if not np.any(cslice):
         return True
     width = int(np.count_nonzero(np.any(cslice, axis=0)))
     state.stats["kappa_max"] = max(state.stats["kappa_max"], width)
-    dslice = state.slice_of(d, dcols)
+    dslice = state.m.dense_slice(state.blocks[d].rows, dcols)
     lam_terms, lam_meta = [], []
     for qq, pp in state.clear_sources(d, c, alpha):
         lam_terms.append((None, (qq @ dslice) % q))
         lam_meta.append((d, qq, pp))
-    col_terms = []
+    # column sources: c's columns of degree < alpha, then c's batch columns
+    col_terms, col_srcs = [], []
     bu, u_cols = state.low_cols_dense(c, alpha)
     if bu.shape[1]:
         col_terms.append((None, bu))
+        col_srcs.append(u_cols)
     ccols = owned.get(c, [])
-    v_src = state.slice_of(c, ccols) if ccols else None
-    has_v = v_src is not None and bool(np.any(v_src))
-    if has_v:
+    v_src = state.m.dense_slice(crows, ccols)
+    if np.any(v_src):
         col_terms.append((None, v_src))
+        col_srcs.append(ccols)
     sol = blockreduce.solve_clear(
         [blockreduce.ClearTarget(cslice, lam_terms, col_terms)], q)
     if sol is None:
         return False
     [(lams, colvals)], _ = sol
-    for src_bid, qq, pp in _group_sources(lams, lam_meta, q):
-        sb, cb = state.blocks[src_bid], state.blocks[c]
-        blockreduce.apply_hom_pair(
-            state.m, state.tp, cb.rows, state.proper_cols(c, alpha),
-            sb.rows, state.proper_cols(src_bid, alpha), qq, pp,
-            extra_cols=state.unassigned_cols() + owned.get(src_bid, []),
-        )
-    vi = 0
-    if bu.shape[1]:
-        u_mat = colvals[vi]
-        vi += 1
-        for jc, col in enumerate(dcols):
-            combo = [
-                (u_cols[a], int(u_mat[a, jc])) for a in range(len(u_cols))
-                if u_mat[a, jc] % q
-            ]
-            if combo:
-                blockreduce.apply_col_combo(state.m, state.tp, col, combo)
-    if has_v:
-        v_mat = colvals[vi]
-        for jc, col in enumerate(dcols):
-            combo = [
-                (ccols[a], int(v_mat[a, jc])) for a in range(len(ccols))
-                if v_mat[a, jc] % q
-            ]
-            if combo:
-                blockreduce.apply_col_combo(state.m, state.tp, col, combo)
-    assert not np.any(state.slice_of(c, dcols))
+    state.apply_clear(c, alpha, _group_sources(lams, lam_meta, q))
+    for x, src_cols in zip(colvals, col_srcs):
+        state.apply_col_solution(x, src_cols, dcols)
+    if np.any(state.m.dense_slice(crows, dcols)):
+        raise DecompositionError("cocycle clearing left a nonzero slice")
     return True
 
 
@@ -914,149 +787,6 @@ def _aida_component(state: _State, bids, cols, alpha):
 
 
 # ---------------------------------------------------------------------------
-# interval fast path
-
-
-def _interval_row_add(state: _State, src_b, dst_b, coeff, alpha):
-    """Physically add coeff times the condensed row of src_b into dst_b.
-
-    Realized by a representative morphism pair scaled so its induced scalar
-    at alpha equals coeff.
-    """
-    q = state.q
-    fq = state.m.field
-    src = state.proper_matrix(src_b, alpha)
-    dst = state.proper_matrix(dst_b, alpha)
-    cok_s = state.cok_at(src_b, alpha)
-    cok_d = state.cok_at(dst_b, alpha)
-    chosen = None
-    for qq, pp in state.clear_sources(src_b, dst_b, alpha):
-        mu = int(induced_at_alpha(qq, src, dst, cok_s, cok_d)[0, 0]) % q
-        if mu:
-            chosen = (qq, pp, mu)
-            break
-    if chosen is None:
-        raise DecompositionError("missing morphism for an allowed row add")
-    qq, pp, mu = chosen
-    scale = (coeff * fq.inv(mu)) % q
-    sb, db = state.blocks[src_b], state.blocks[dst_b]
-    blockreduce.apply_hom_pair(
-        state.m, state.tp, db.rows, state.proper_cols(dst_b, alpha),
-        sb.rows, state.proper_cols(src_b, alpha),
-        (scale * qq) % q, (scale * pp) % q,
-        extra_cols=state.unassigned_cols(),
-    )
-
-
-def _interval_component(state: _State, bids, cols, alpha):
-    """Interval fast path on one component: condense each block's slice to a
-    scalar per column, eliminate along the interval Hom^alpha preorder, mix
-    columns freely, then merge by condensed support.
-
-    Raises:
-        _FallbackNeeded: a block is not interval or a merge would break the
-            interval property; the caller reruns the component exhaustively.
-    """
-    q = state.q
-    fq = state.m.field
-    shapes = {}
-    for b in sorted(bids):
-        sh = state.interval_shape(b)
-        if sh is None:
-            raise _FallbackNeeded(f"block {b} is not an interval")
-        shapes[b] = sh
-    pending = sorted(cols)
-    live = []
-    for b in sorted(bids):
-        if shapes[b].contains(alpha):
-            live.append(b)
-        else:
-            # cokernel is zero at alpha: slice lies in the column span
-            _u_clear(state, b, pending, alpha)
-    if not live:
-        raise DecompositionError(
-            "batch columns unsupported at their own degree"
-        )
-
-    def condensed():
-        z = np.zeros((len(live), len(pending)), dtype=np.int64)
-        for r, b in enumerate(live):
-            cok = state.cok_at(b, alpha)
-            assert cok.dim == 1
-            sl = state.slice_of(b, pending)
-            for j in range(len(pending)):
-                z[r, j] = cok.reduce(sl[cok.row_ids, j])[0]
-        return z
-
-    pre = Preorder(
-        len(live),
-        lambda rs, rt: interval_alpha_hom(
-            shapes[live[rs]], shapes[live[rt]], alpha),
-    )
-    _, oplog = preorder_row_eliminate(condensed(), pre, q)
-    units = [1] * len(live)
-    for op in oplog:
-        if op[0] == "scale":
-            _, r, cc = op
-            units[r] = (units[r] * cc) % q
-        else:
-            _, src, dst, cc = op
-            coeff = (cc * units[src] * fq.inv(units[dst])) % q
-            if coeff:
-                _interval_row_add(
-                    state, live[src], live[dst], coeff, alpha)
-    z = condensed()
-    e, piv, t = column_echelon(z, q)
-    if len(piv) < len(pending):
-        raise DecompositionError(
-            "redundant batch column on a minimal presentation"
-        )
-    if not np.array_equal(t, np.eye(len(pending), dtype=np.int64)):
-        state.apply_coltrans(pending, t)
-        z = e
-    # align actual slices with the condensed zero pattern
-    for r, b in enumerate(live):
-        zeroed = [pending[j] for j in range(len(pending)) if z[r, j] == 0]
-        if zeroed:
-            _u_clear(state, b, zeroed, alpha)
-    # support components of the condensed matrix
-    parent = {("b", b): ("b", b) for b in live}
-    for j in range(len(pending)):
-        parent[("c", j)] = ("c", j)
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for r, b in enumerate(live):
-        for j in range(len(pending)):
-            if z[r, j]:
-                ra, rb = find(("b", b)), find(("c", j))
-                if ra != rb:
-                    parent[ra] = rb
-    groups = {}
-    for b in live:
-        groups.setdefault(find(("b", b)), ([], []))[0].append(b)
-    for j in range(len(pending)):
-        groups.setdefault(find(("c", j)), ([], []))[1].append(pending[j])
-    merge_plan = [
-        (sorted(gb), sorted(gc)) for gb, gc in groups.values() if gc
-    ]
-    # every prospective merged block must stay interval, else fall back
-    for gbids, gcols in merge_plan:
-        rows = sorted(r for b in gbids for r in state.blocks[b].rows)
-        bcols = sorted(
-            c for b in gbids for c in state.blocks[b].cols) + gcols
-        prospective = state.m.submatrix(rows, bcols)
-        if check_interval(prospective) is None:
-            raise _FallbackNeeded("merged block would not be interval")
-    for gbids, gcols in merge_plan:
-        state.merge(gbids, gcols)
-
-
-# ---------------------------------------------------------------------------
 # main routine
 
 
@@ -1064,38 +794,13 @@ def _run_exhaustive(state: _State, bids, cols, alpha):
     trial = _Trial(state, sorted(bids), sorted(cols), alpha)
     groups, detached = _exhaustive_split(
         state, trial, sorted(bids), list(range(len(trial.cols))), False)
-    assert not detached
+    if detached:
+        raise DecompositionError(
+            "batch column vanished on a minimal presentation"
+        )
     trial.commit()
     for gbids, gpos in groups:
         state.merge(sorted(gbids), sorted(trial.cols[p] for p in gpos))
-
-
-def _batch_components(state: _State, cols):
-    """Connected components of blocks and batch columns via shared support."""
-    cand = state.support_blocks(cols)
-    parent = {("b", b): ("b", b) for b in cand}
-    for j in cols:
-        parent[("c", j)] = ("c", j)
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for b in cand:
-        sl = state.slice_of(b, cols)
-        for a, j in enumerate(cols):
-            if np.any(sl[:, a]):
-                ra, rb = find(("b", b)), find(("c", j))
-                if ra != rb:
-                    parent[ra] = rb
-    groups = {}
-    for b in cand:
-        groups.setdefault(find(("b", b)), ([], []))[0].append(b)
-    for j in cols:
-        groups.setdefault(find(("c", j)), ([], []))[1].append(j)
-    return [(sorted(gb), sorted(gc)) for gb, gc in groups.values() if gc]
 
 
 def _process_batch(state: _State, alpha, batch_cols):
@@ -1113,23 +818,20 @@ def _process_batch(state: _State, alpha, batch_cols):
         for b in cand:
             _try_clear_trial(state, trial, b, allpos, cand, alpha)
         trial.commit()
-    for gbids, gcols in _batch_components(state, cols):
+    cand = state.support_blocks(cols)
+    support = [
+        np.any(state.m.dense_slice(state.blocks[b].rows, cols), axis=0)
+        for b in cand
+    ]
+    for gbids, gcols in _support_components(cand, cols, support):
+        if not gcols:
+            continue
         if not gbids:
             raise DecompositionError(
                 "zero batch column in a minimal presentation"
             )
         if state.strategy == "aida":
             _aida_component(state, gbids, gcols, alpha)
-        elif state.strategy == "interval_auto":
-            try:
-                _interval_component(state, gbids, gcols, alpha)
-            except _FallbackNeeded:
-                state.interval_decomposable = False
-                rem = [
-                    b for b in gbids
-                    if b in state.blocks and np.any(state.slice_of(b, gcols))
-                ]
-                _run_exhaustive(state, rem or gbids, gcols, alpha)
         else:
             _run_exhaustive(state, gbids, gcols, alpha)
 
@@ -1240,7 +942,8 @@ def decompose(m: GradedMatrix, strategy: str = "exhaustive",
         m: graded presentation matrix (minimized automatically if needed).
         strategy: "exhaustive" (subspace enumeration per component), "aida"
             (digraph condensation with per-group enumeration), or
-            "interval_auto" (condensed fast path with exhaustive fallback).
+            "interval_auto" (the exhaustive path, reporting whether every
+            summand is an interval as interval_decomposable).
         use_sweep: reduce batch columns against low-degree block columns
             before any clearing.
         use_homset: restrict clearing to Hom^alpha representatives and build
@@ -1265,8 +968,6 @@ def decompose(m: GradedMatrix, strategy: str = "exhaustive",
             f"{mrep['deleted_columns']} redundant column(s)"
         )
     state = _State(minimized.copy(), strategy, use_sweep, use_homset)
-    if strategy == "interval_auto":
-        state.interval_decomposable = True
     t1 = time.perf_counter()
     for alpha, cols in sort_and_batch(state.m):
         _process_batch(state, alpha, cols)
@@ -1297,7 +998,8 @@ def decompose(m: GradedMatrix, strategy: str = "exhaustive",
         transform=state.tp,
         minimized_input=minimized,
         matrix=state.m,
-        interval_decomposable=state.interval_decomposable,
+        interval_decomposable=(
+            all(flags) if strategy == "interval_auto" else None),
         warnings=warnings,
     )
     if verify and not report.verify():

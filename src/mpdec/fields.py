@@ -2,8 +2,7 @@
 
 All matrices here are plain numpy int64 arrays with entries reduced mod q.
 The graded structure lives one layer up (see grading.py); this module only
-knows about solving, kernels, echelon forms and preorder-constrained
-elimination.
+knows about solving, kernels and echelon forms.
 """
 
 from __future__ import annotations
@@ -188,66 +187,3 @@ def invert(a: np.ndarray, q: int):
     x = solve(a, np.eye(n, dtype=np.int64), q)
     return x
 
-
-class Preorder:
-    """A reflexive transitive relation on {0..size-1} given by a callable."""
-
-    def __init__(self, size: int, leq_fn):
-        self.size = size
-        self._leq = leq_fn
-
-    def leq(self, i: int, j: int) -> bool:
-        return i == j or bool(self._leq(i, j))
-
-
-def preorder_row_eliminate(m: np.ndarray, pre: Preorder, q: int):
-    """Gaussian elimination using only row additions allowed by a preorder.
-
-    A multiple of row i may be added to row j only when pre.leq(i, j); rows
-    may be scaled freely. Rows are processed along a linearization of the
-    preorder, reducing each row's leading entries by previously registered
-    pivot rows that are below it.
-
-    Args:
-        m: matrix over F_q (modified copy is returned).
-        pre: preorder on row indices.
-        q: field order.
-
-    Returns:
-        (reduced, oplog) with oplog entries ("add", src, dst, coeff) and
-        ("scale", row, coeff).
-    """
-    fq = FieldConfig(q)
-    a = modq(np.array(m, dtype=np.int64, copy=True), q)
-    rows, cols = a.shape
-    # linearize: sort by number of strict predecessors, ties by index
-    def n_pred(j):
-        return sum(1 for i in range(rows) if i != j and pre.leq(i, j) and not pre.leq(j, i))
-
-    order = sorted(range(rows), key=lambda j: (n_pred(j), j))
-    oplog = []
-    pivot_of_col: dict[int, list[int]] = {}
-    for r in order:
-        changed = True
-        while changed:
-            changed = False
-            nz = np.flatnonzero(a[r])
-            if len(nz) == 0:
-                break
-            lead = int(nz[0])
-            for p in pivot_of_col.get(lead, []):
-                if pre.leq(p, r):
-                    coeff = fq.neg(a[r, lead] * fq.inv(a[p, lead]))
-                    a[r] = (a[r] + coeff * a[p]) % q
-                    oplog.append(("add", p, r, coeff))
-                    changed = True
-                    break
-        nz = np.flatnonzero(a[r])
-        if len(nz):
-            lead = int(nz[0])
-            if a[r, lead] != 1:
-                c = fq.inv(a[r, lead])
-                a[r] = (a[r] * c) % q
-                oplog.append(("scale", r, c))
-            pivot_of_col.setdefault(lead, []).append(r)
-    return a, oplog

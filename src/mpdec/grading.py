@@ -73,6 +73,18 @@ class GradedMatrix:
             m.columns[j] = {int(i): int(dense[i, j]) for i in np.flatnonzero(dense[:, j])}
         return m
 
+    def dense_slice(self, rows, cols) -> np.ndarray:
+        """Dense (rows) x (cols) array over parent indices; entries in other
+        rows are left out."""
+        rmap = {r: a for a, r in enumerate(rows)}
+        out = np.zeros((len(rows), len(cols)), dtype=np.int64)
+        for b, j in enumerate(cols):
+            for i, v in self.columns[j].items():
+                a = rmap.get(i)
+                if a is not None:
+                    out[a, b] = v
+        return out
+
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.num_rows, self.num_cols), dtype=np.int64)
         for j, col in enumerate(self.columns):
@@ -123,18 +135,10 @@ class GradedMatrix:
             elif i in dcol:
                 del dcol[i]
 
-    def row_add(self, src: int, dst: int, c: int, cols=None):
-        """Row dst += c * row src, touching only the given columns.
-
-        Args:
-            cols: iterable of column indices known to cover the support of
-                row src (defaults to all columns).
-        """
+    def row_add(self, src: int, dst: int, c: int):
+        """Row dst += c * row src (no admissibility check)."""
         q = self.field.q
-        if cols is None:
-            cols = range(self.num_cols)
-        for j in cols:
-            col = self.columns[j]
+        for col in self.columns:
             v = col.get(src)
             if v is None:
                 continue
@@ -172,7 +176,7 @@ class GradedMatrix:
         return self.submatrix(row_ids, col_ids), row_ids, col_ids
 
 
-def admissible_row_add(m: GradedMatrix, src: int, dst: int, c: int, tp=None, cols=None):
+def admissible_row_add(m: GradedMatrix, src: int, dst: int, c: int, tp=None):
     """Row dst += c * row src; requires G(src) >= G(dst)."""
     if c % m.field.q == 0:
         raise InadmissibleOperation("zero coefficient")
@@ -181,7 +185,7 @@ def admissible_row_add(m: GradedMatrix, src: int, dst: int, c: int, tp=None, col
             f"row add {src}->{dst}: {m.row_degrees[src]} does not dominate "
             f"{m.row_degrees[dst]}"
         )
-    m.row_add(src, dst, c, cols=cols)
+    m.row_add(src, dst, c)
     if tp is not None:
         tp.row_add(src, dst, c)
 
@@ -420,12 +424,7 @@ def minimize(m: GradedMatrix):
         # a column can lie in the span of others only if it takes part in a
         # linear dependency of the whole component
         rows = sorted({i for c in comp for i in work.columns[c]})
-        rmap = {r: a for a, r in enumerate(rows)}
-        a = np.zeros((len(rows), len(comp)), dtype=np.int64)
-        for b, c in enumerate(comp):
-            for i, v in work.columns[c].items():
-                a[rmap[i], b] = v
-        kb = _kernel_basis(a, q)
+        kb = _kernel_basis(work.dense_slice(rows, comp), q)
         if kb.shape[1] == 0:
             continue
         dependent = {
@@ -440,14 +439,8 @@ def minimize(m: GradedMatrix):
             if not others:
                 continue
             rows = sorted({i for c in others + [j] for i in work.columns[c]})
-            rmap = {r: a for a, r in enumerate(rows)}
-            a = np.zeros((len(rows), len(others)), dtype=np.int64)
-            for b, c in enumerate(others):
-                for i, v in work.columns[c].items():
-                    a[rmap[i], b] = v
-            target = np.zeros(len(rows), dtype=np.int64)
-            for i, v in work.columns[j].items():
-                target[rmap[i]] = v
+            a = work.dense_slice(rows, others)
+            target = work.dense_slice(rows, [j])[:, 0]
             if _solve(a, target, q) is not None:
                 alive_cols[j] = False
                 comp_alive.remove(j)

@@ -28,11 +28,10 @@ class HomBasis:
             zero-inducing pairs).
     """
 
-    def __init__(self, pairs, raw_dim: int, dim: int, shape):
+    def __init__(self, pairs, raw_dim: int, dim: int):
         self.pairs = pairs
         self.raw_dim = raw_dim
         self.dim = dim
-        self.shape = shape
 
 
 class AlphaHomBasis:
@@ -139,8 +138,7 @@ def hom_space(src: GradedMatrix, tgt: GradedMatrix) -> HomBasis:
     raw_dim = len(pairs)
     triv = _trivial_pair_generators(src, tgt)
     triv_dim = rank(_flatten_pairs(triv).T, q) if triv else 0
-    shape = ((tgt.num_rows, src.num_rows), (tgt.num_cols, src.num_cols))
-    return HomBasis(pairs, raw_dim, raw_dim - triv_dim, shape)
+    return HomBasis(pairs, raw_dim, raw_dim - triv_dim)
 
 
 class CokernelBasisAtAlpha:

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from itertools import product
 
-import numpy as np
-
 from .fields import rank
 from .grading import GradedMatrix, join, leq
 
@@ -24,12 +22,7 @@ def dim_at(m: GradedMatrix, gamma) -> int:
     cols = [j for j, r in enumerate(m.col_degrees) if leq(r, gamma)]
     if not rows:
         return 0
-    rmap = {r: a for a, r in enumerate(rows)}
-    dense = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    for b, j in enumerate(cols):
-        for i, v in m.columns[j].items():
-            dense[rmap[i], b] = v
-    return len(rows) - rank(dense, m.field.q)
+    return len(rows) - rank(m.dense_slice(rows, cols), m.field.q)
 
 
 class IntervalShape:
@@ -42,10 +35,6 @@ class IntervalShape:
 
     def contains(self, gamma) -> bool:
         return dim_at(self.matrix, gamma) == 1
-
-    def degree_values(self, axis: int):
-        vals = {g[axis] for g in self.gens} | {r[axis] for r in self.rels}
-        return vals
 
 
 def _grid_axes(shapes, extra_points=()):

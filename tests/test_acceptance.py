@@ -105,7 +105,7 @@ class TestHomDimensions:
 
 
 class TestIntervalRecovery:
-    """The fast path must recover generated interval ground truth exactly."""
+    """interval_auto must recover generated interval ground truth exactly."""
 
     @pytest.mark.parametrize("n", [10, 100, 1000])
     def test_twenty_seeds(self, n):

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from fixtures import clearing_fixture, f2
+from fixtures import clearing_fixture
 from mpdec.blockreduce import (
     ClearTarget,
     apply_col_combo,
@@ -114,8 +114,7 @@ class TestApplyHomPair:
         pairs = hom_pairs(mc, mb)
         assert pairs
         qq, pp = pairs[0]
-        apply_hom_pair(m, tp, b_rows, b_cols, c_rows, c_cols, qq, pp,
-                       extra_cols=[4])
+        apply_hom_pair(m, tp, b_rows, b_cols, c_rows, c_cols, qq, pp)
         # proper blocks are bit-identical, only the pending column moved
         assert m.submatrix(b_rows, b_cols).equal(mb)
         assert m.submatrix(c_rows, c_cols).equal(mc)

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from fixtures import chain_digraph_matrix, clearing_fixture, staircase_pair
 from mpdec.cli import main
+from mpdec.grading import GradedMatrix
 from mpdec.sccio import write_scc2020
 
 
@@ -54,7 +55,10 @@ class TestDecompose:
             "--no-sweep", "--no-homset", "--verify",
         ])
         assert result.exit_code == 0
-        assert json.loads(result.output)["num_summands"] == 2
+        report = json.loads(result.output)
+        assert report["num_summands"] == 2
+        assert report["interval_decomposable"] == all(
+            report["interval_flags"])
 
     def test_stats_file(self, runner, chain_file, tmp_path):
         stats = tmp_path / "report.json"
@@ -111,6 +115,24 @@ class TestVerify:
     def test_missing_certificate(self, runner, tmp_path, chain_file):
         result = runner.invoke(main, ["verify", chain_file, str(tmp_path)])
         assert result.exit_code == 2
+
+    def test_certificate_without_field(self, runner, tmp_path):
+        src, outdir = self._artifacts(runner, tmp_path, chain_digraph_matrix())
+        cert_path = outdir / "certificate.json"
+        cert = json.loads(cert_path.read_text())
+        del cert["field"]
+        cert_path.write_text(json.dumps(cert))
+        result = runner.invoke(main, ["verify", src, str(outdir)])
+        assert result.exit_code == 2
+        assert "field" in result.output
+
+    def test_missing_summand_file(self, runner, tmp_path):
+        src, outdir = self._artifacts(runner, tmp_path, chain_digraph_matrix())
+        cert = json.loads((outdir / "certificate.json").read_text())
+        (outdir / cert["blocks"][0]["summand"]).unlink()
+        result = runner.invoke(main, ["verify", src, str(outdir)])
+        assert result.exit_code == 2
+        assert "cannot read summand" in result.output
 
 
 class TestGenerate:
@@ -178,6 +200,25 @@ class TestHom:
         result = runner.invoke(main, ["hom", str(xp), str(yp),
                                       "--alpha", "one,two"])
         assert result.exit_code == 2
+
+    def test_alpha_of_wrong_dimension(self, runner, tmp_path):
+        x, y, _ = staircase_pair()
+        xp, yp = tmp_path / "x.scc2020", tmp_path / "y.scc2020"
+        xp.write_text(write_scc2020(x))
+        yp.write_text(write_scc2020(y))
+        result = runner.invoke(main, ["hom", str(xp), str(yp),
+                                      "--alpha", "1,2,3"])
+        assert result.exit_code == 2
+        assert "coordinate" in result.output
+
+    def test_parameter_count_mismatch(self, runner, tmp_path):
+        x, _, _ = staircase_pair()
+        xp, zp = tmp_path / "x.scc2020", tmp_path / "z.scc2020"
+        xp.write_text(write_scc2020(x))
+        zp.write_text(write_scc2020(GradedMatrix([(0, 0, 0)], [])))
+        result = runner.invoke(main, ["hom", str(xp), str(zp)])
+        assert result.exit_code == 2
+        assert "parameter counts" in result.output
 
 
 class TestBench:

@@ -17,7 +17,8 @@ from mpdec.decomposer import (
     strongly_connected_components,
     summand_signature,
 )
-from mpdec.generators import gen_intervals, gen_random_er, mix
+from mpdec.fields import FieldConfig
+from mpdec.generators import gen_grid, gen_intervals, gen_random_er, mix
 from mpdec.grading import GradedMatrix
 
 STRATS = ("exhaustive", "aida")
@@ -134,6 +135,45 @@ class TestCountersAndConservation:
             for s in STRATS:
                 report = decompose(m.copy(), strategy=s, verify=False)
                 assert report.verify()
+
+
+class TestAidaCertificates:
+    """aida's certificate identity holds where batches share rows with
+    columns already owned by other blocks."""
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_small_grid_corpus(self, q):
+        for seed in range(20):
+            m, _ = gen_grid(60, 60, 3, 0.06, seed=seed, field=FieldConfig(q))
+            report = decompose(m, strategy="aida")
+            assert report.verify(), f"seed {seed} over F_{q}"
+
+    def test_grid_repro(self):
+        m, _ = gen_grid(80, 80, 3, 0.05, seed=3)
+        assert decompose(m, strategy="aida").verify()
+
+
+class TestIntervalDecision:
+    """interval_auto reports whether every summand is an interval."""
+
+    @pytest.mark.parametrize("seed", [30, 32])
+    def test_interval_decomposable_grid(self, seed):
+        m, _ = gen_grid(40, 40, 3, 0.08, seed=seed)
+        report = decompose(m, strategy="interval_auto", verify=True)
+        assert report.interval_decomposable is True
+        assert all(report.interval_flags)
+
+    def test_decision_matches_flags(self):
+        inputs = [gen_random_er(7, 6, 0.4, seed=s) for s in range(5)]
+        inputs += [gen_grid(30, 30, 3, 0.1, seed=s)[0] for s in range(5)]
+        decisions = set()
+        for m in inputs:
+            report = decompose(m, strategy="interval_auto")
+            assert report.interval_decomposable == all(report.interval_flags)
+            decisions.add(report.interval_decomposable)
+            for s in STRATS:
+                assert decompose(m, strategy=s).interval_decomposable is None
+        assert decisions == {True, False}
 
 
 class TestSignatures:

@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 
 from mpdec.fields import (
     FieldConfig,
-    Preorder,
     column_echelon,
     invert,
     kernel_basis,
     matmul,
-    preorder_row_eliminate,
     rank,
     row_reduce,
     solve,
@@ -146,38 +144,3 @@ class TestColumnEchelon:
         assert np.array_equal(r, matmul(t, a, 2))
         assert len(piv) == 2
 
-
-class TestPreorderRowEliminate:
-    def test_incomparable_rows_unchanged(self):
-        m = np.array([[1, 1], [1, 0]])
-        pre = Preorder(2, lambda i, j: False)
-        out, log = preorder_row_eliminate(m, pre, 2)
-        assert np.array_equal(out, m)
-        assert log == []
-
-    def test_total_order_eliminates(self):
-        m = np.ones((2, 2), dtype=np.int64)
-        pre = Preorder(2, lambda i, j: True)
-        out, log = preorder_row_eliminate(m, pre, 2)
-        assert sorted(np.count_nonzero(out, axis=1).tolist()) == [0, 2]
-
-    def test_forbidden_target_untouched(self):
-        # rows 0 < 1 in the preorder, row 2 incomparable to both
-        m = np.array([[1, 1, 0], [1, 1, 1], [1, 1, 1]])
-        pre = Preorder(3, lambda i, j: (i, j) == (0, 1))
-        out, log = preorder_row_eliminate(m, pre, 2)
-        assert np.array_equal(out[2], m[2])
-        for op in log:
-            if op[0] == "add":
-                _, src, dst, _ = op
-                assert pre.leq(src, dst)
-                assert dst != 2
-
-    def test_oplog_respects_preorder(self):
-        m = np.array([[1, 0, 1], [1, 1, 0], [0, 1, 1]])
-        allowed = {(0, 1), (1, 2), (0, 2)}
-        pre = Preorder(3, lambda i, j: (i, j) in allowed)
-        out, log = preorder_row_eliminate(m, pre, 3)
-        for op in log:
-            if op[0] == "add":
-                assert (op[1], op[2]) in allowed

@@ -1,7 +1,6 @@
 """Morphism spaces between presentations and their localisation at a degree."""
 
 import numpy as np
-import pytest
 
 from fixtures import chain_blocks, f2, join_pair_matrix, staircase_pair
 from mpdec.fields import matmul

@@ -1,4 +1,4 @@
-"""Pointwise dimensions, interval detection, and the interval fast path."""
+"""Pointwise dimensions, interval detection, and the interval_auto decision."""
 
 import pytest
 
