@@ -165,6 +165,16 @@ def _fail_verify(msg: str):
     sys.exit(EXIT_VERIFY)
 
 
+def _check_indices(cert_path, what, index_lists, size):
+    """Exit 2 unless every index is an int in [0, size); Python indexing
+    would wrap negative ones silently."""
+    for indices in index_lists:
+        for i in indices:
+            if type(i) is not int or not 0 <= i < size:
+                _input_error(f"{cert_path}: {what}: index {i!r} outside "
+                             f"[0, {size})")
+
+
 @main.command("verify")
 @click.argument("original", type=click.Path())
 @click.argument("artifact_dir", type=click.Path())
@@ -194,9 +204,23 @@ def cmd_verify(original, artifact_dir, field):
         m_final = parse_scc2020(cert["matrix"], fq)
         q_rows = [{k: v for k, v in row} for row in cert["q_rows"]]
         pinv_rows = [{k: v for k, v in row} for row in cert["pinv_rows"]]
-        blocks = [(b["rows"], b["cols"], b["summand"]) for b in cert["blocks"]]
+        blocks = [(list(b["rows"]), list(b["cols"]), b["summand"])
+                  for b in cert["blocks"]]
     except (KeyError, TypeError, ValueError, SccParseError) as ex:
         _input_error(f"{cert_path}: malformed certificate: {ex!r}")
+    n_rows, n_cols = m_min.num_rows, m_min.num_cols
+    if (m_final.num_rows, m_final.num_cols) != (n_rows, n_cols):
+        _input_error(f"{cert_path}: final matrix is {m_final.num_rows}x"
+                     f"{m_final.num_cols}, minimized input {n_rows}x{n_cols}")
+    for what, table, size in (("q_rows", q_rows, n_rows),
+                              ("pinv_rows", pinv_rows, n_cols)):
+        if len(table) != size:
+            _input_error(f"{cert_path}: {what} has {len(table)} rows, "
+                         f"expected {size}")
+        _check_indices(cert_path, what, table, size)
+    for rows, cols, name in blocks:
+        _check_indices(cert_path, f"block {name} rows", [rows], n_rows)
+        _check_indices(cert_path, f"block {name} cols", [cols], n_cols)
 
     own_min, _ = minimize(m_in)
     if not own_min.equal(m_min):

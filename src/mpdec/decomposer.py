@@ -35,7 +35,7 @@ from .hom import (
     cokernel_at,
     hom_pairs,
 )
-from .intervals import check_interval
+from .intervals import check_interval, dimension_grid
 from .subspaces import generate_dec
 
 
@@ -841,38 +841,12 @@ def summand_signature(m: GradedMatrix):
 
     Sorted generator degrees, sorted relation degrees, and the dimension
     vector of the cokernel on the grid spanned by the presentation's own
-    degrees plus one sentinel value per axis.
+    degrees plus one sentinel value per axis (intervals.dimension_grid, in
+    row-major order).
     """
-    from itertools import product
-
-    gens = tuple(sorted(m.row_degrees))
-    rels = tuple(sorted(m.col_degrees))
-    degs = m.row_degrees + m.col_degrees
-    if not degs:
-        return (gens, rels, ())
-    axes = []
-    for a in range(len(degs[0])):
-        vals = sorted({d[a] for d in degs})
-        vals.append(vals[-1] + 1)
-        axes.append(vals)
-    # rank of M^{<=gamma} depends only on the included column set: every
-    # entry of an included column sits in an included row
-    from .fields import rank as _rank
-
-    dense = m.to_dense()
-    rank_cache: dict = {}
-    dims = []
-    for gamma in product(*axes):
-        nrows = sum(1 for g in m.row_degrees if leq(g, gamma))
-        cols = tuple(
-            j for j, r in enumerate(m.col_degrees) if leq(r, gamma)
-        )
-        rk = rank_cache.get(cols)
-        if rk is None:
-            rk = _rank(dense[:, cols], m.field.q) if cols else 0
-            rank_cache[cols] = rk
-        dims.append(nrows - rk)
-    return (gens, rels, tuple(dims))
+    _, dims = dimension_grid(m)
+    return (tuple(sorted(m.row_degrees)), tuple(sorted(m.col_degrees)),
+            tuple(dims.ravel().tolist()))
 
 
 @dataclass

@@ -5,12 +5,14 @@ order-convex support. Its minimal presentation has a normal form: every
 relation column has a single entry, or two entries scalable to (1, -1)
 sitting at the join of the two generators it touches. check_interval
 verifies the normal form structurally and then the pointwise conditions on
-the compressed grid spanned by the block's own degrees.
+the compressed grid spanned by the block's own degrees (dimension_grid).
 """
 
 from __future__ import annotations
 
 from itertools import product
+
+import numpy as np
 
 from .fields import rank
 from .grading import GradedMatrix, join, leq
@@ -37,15 +39,63 @@ class IntervalShape:
         return dim_at(self.matrix, gamma) == 1
 
 
-def _grid_axes(shapes, extra_points=()):
-    degs = [d for s in shapes for d in s.gens + s.rels] + [tuple(p) for p in extra_points]
-    dim = len(degs[0])
+def _grid_axes(degs):
+    """Per parameter, the sorted distinct values of degs plus a sentinel."""
     axes = []
-    for a in range(dim):
+    for a in range(len(degs[0])):
         vals = sorted({d[a] for d in degs})
         vals.append(vals[-1] + 1)  # sentinel beyond every finite degree
         axes.append(vals)
     return axes
+
+
+def dimension_grid(m: GradedMatrix):
+    """The compressed grid of m and dim coker(m) at every point of it.
+
+    The axes are, per parameter, the sorted distinct values of m's own
+    generator and relation degrees plus one sentinel beyond them, so every
+    own degree is a grid point and its upset is a trailing box of the grid.
+
+    Returns:
+        (axes, dims): dims an int64 array of shape (len(ax) for ax in axes),
+        dims[idx] the dimension at (ax[i] for ax, i in zip(axes, idx)).
+        Without any degree, ([], an empty array).
+    """
+    degs = m.row_degrees + m.col_degrees
+    if not degs:
+        return [], np.zeros(0, dtype=np.int64)
+    axes = _grid_axes(degs)
+    index = [{v: i for i, v in enumerate(ax)} for ax in axes]
+
+    def upset(deg):
+        return tuple(slice(ix[x], None) for ix, x in zip(index, deg))
+
+    grid = tuple(len(ax) for ax in axes)
+    dims = np.zeros(grid, dtype=np.int64)
+    if m.num_rows == 1:
+        # closed form: 1 above the generator unless a nonzero column has
+        # degree <= gamma, 0 elsewhere
+        dims[upset(m.row_degrees[0])] = 1
+        for r, col in zip(m.col_degrees, m.columns):
+            if col:
+                dims[upset(r)] = 0
+        return axes, dims
+    for g in m.row_degrees:
+        dims[upset(g)] += 1
+    if not m.num_cols:
+        return axes, dims
+    # rank of M^{<=gamma} depends only on the included column set: every
+    # entry of an included column sits in an included row
+    included = np.zeros((m.num_cols,) + grid, dtype=bool)
+    for j, r in enumerate(m.col_degrees):
+        included[(j,) + upset(r)] = True
+    sets, inverse = np.unique(included.reshape(m.num_cols, -1), axis=1,
+                              return_inverse=True)
+    dense = m.to_dense()
+    ranks = np.array([
+        rank(dense[:, s], m.field.q) if s.any() else 0 for s in sets.T
+    ], dtype=np.int64)
+    return axes, dims - ranks[inverse.ravel()].reshape(grid)
 
 
 def check_interval(m: GradedMatrix):
@@ -53,9 +103,9 @@ def check_interval(m: GradedMatrix):
 
     Structural pass: each column has one entry, or exactly two whose values
     are negatives of each other and whose degree is the join of the two
-    generators touched. Semantic pass on the compressed degree grid:
-    pointwise dimension <= 1, support nonempty, connected under grid
-    adjacency, and order-convex.
+    generators touched. Semantic pass on dimension_grid(m): pointwise
+    dimension <= 1, support nonempty, connected under grid adjacency, and
+    order-convex.
     """
     q = m.field.q
     if m.num_rows == 0:
@@ -72,43 +122,36 @@ def check_interval(m: GradedMatrix):
         if m.col_degrees[j] != join(m.row_degrees[i1], m.row_degrees[i2]):
             return None
 
-    shape = IntervalShape(m)
-    axes = _grid_axes([shape])
-    grid = {}
-    for idx in product(*(range(len(ax)) for ax in axes)):
-        gamma = tuple(ax[i] for ax, i in zip(axes, idx))
-        d = dim_at(m, gamma)
-        if d > 1:
-            return None
-        grid[idx] = d == 1
-    support = [idx for idx, alive in grid.items() if alive]
-    if not support:
+    _, dims = dimension_grid(m)
+    live = dims == 1
+    if (dims > 1).any() or not live.any():
+        return None
+    if m.num_rows == 1:
+        # upset(g) minus the relations' upsets is order-convex, and connected
+        # since every point between g and a support point lies in it
+        return IntervalShape(m)
+    # order convexity: no dead point both above and below the support
+    up, down = live, live
+    for a in range(live.ndim):
+        up = np.logical_or.accumulate(up, axis=a)
+        down = np.flip(
+            np.logical_or.accumulate(np.flip(down, axis=a), axis=a), axis=a)
+    if (up & down & ~live).any():
         return None
     # connectivity under one-step grid adjacency
-    seen = {support[0]}
-    stack = [support[0]]
+    support = set(map(tuple, np.argwhere(live).tolist()))
+    start = next(iter(support))
+    seen = {start}
+    stack = [start]
     while stack:
         cur = stack.pop()
-        for a in range(len(axes)):
+        for a in range(len(cur)):
             for step in (-1, 1):
-                nb = list(cur)
-                nb[a] += step
-                nb = tuple(nb)
-                if nb in grid and grid[nb] and nb not in seen:
+                nb = cur[:a] + (cur[a] + step,) + cur[a + 1:]
+                if nb in support and nb not in seen:
                     seen.add(nb)
                     stack.append(nb)
-    if len(seen) != len(support):
-        return None
-    # order convexity
-    supp_set = set(support)
-    for idx, alive in grid.items():
-        if alive:
-            continue
-        below = any(all(s <= g for s, g in zip(sp, idx)) for sp in supp_set)
-        above = any(all(s >= g for s, g in zip(sp, idx)) for sp in supp_set)
-        if below and above:
-            return None
-    return shape
+    return IntervalShape(m) if len(seen) == len(support) else None
 
 
 def interval_alpha_hom(i_shape: IntervalShape, j_shape: IntervalShape, alpha) -> bool:
@@ -122,7 +165,8 @@ def interval_alpha_hom(i_shape: IntervalShape, j_shape: IntervalShape, alpha) ->
     alpha = tuple(alpha)
     if not i_shape.contains(alpha) or not j_shape.contains(alpha):
         return False
-    axes = _grid_axes([i_shape, j_shape], extra_points=[alpha])
+    axes = _grid_axes(i_shape.gens + i_shape.rels + j_shape.gens
+                      + j_shape.rels + [alpha])
     idx_points = list(product(*(range(len(ax)) for ax in axes)))
     gamma_of = {
         idx: tuple(ax[i] for ax, i in zip(axes, idx)) for idx in idx_points

@@ -107,7 +107,8 @@ class TestHomDimensions:
 class TestIntervalRecovery:
     """interval_auto must recover generated interval ground truth exactly."""
 
-    @pytest.mark.parametrize("n", [10, 100, 1000])
+    @pytest.mark.parametrize(
+        "n", [10, 100, pytest.param(1000, marks=pytest.mark.slow)])
     def test_twenty_seeds(self, n):
         for seed in range(20):
             m, sigs = gen_intervals(n, seed=seed, mixed=True)
@@ -186,6 +187,7 @@ class TestIntervalAutoScaling:
                 slow = decompose(m.copy(), strategy="exhaustive")
                 assert fast.signature_multiset() == slow.signature_multiset()
 
+    @pytest.mark.slow
     def test_doubling_slope(self):
         sizes = [125, 250, 500, 1000, 2000]
         times = []
@@ -202,6 +204,7 @@ class TestIntervalAutoScaling:
 class TestGridScaling:
     """Large sparse instances with distinct degrees stay fast."""
 
+    @pytest.mark.slow
     def test_doubling_ladder(self):
         times = {}
         for m_gens in (5000, 10000, 20000, 40000):
@@ -216,6 +219,7 @@ class TestGridScaling:
         for small, big in ((5000, 10000), (10000, 20000), (20000, 40000)):
             assert times[big] / times[small] <= 5.0, times
 
+    @pytest.mark.slow
     def test_sweep_ablation(self):
         faster = 0
         total = 6

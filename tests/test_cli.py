@@ -134,6 +134,45 @@ class TestVerify:
         assert result.exit_code == 2
         assert "cannot read summand" in result.output
 
+    def _tampered(self, runner, tmp_path, tamper):
+        src, outdir = self._artifacts(runner, tmp_path, chain_digraph_matrix())
+        cert_path = outdir / "certificate.json"
+        cert = json.loads(cert_path.read_text())
+        tamper(cert)
+        cert_path.write_text(json.dumps(cert))
+        return runner.invoke(main, ["verify", src, str(outdir)])
+
+    # the chain fixture minimizes to 4 generators and 4 relations
+    @pytest.mark.parametrize("tamper", [
+        lambda c: c["q_rows"][0].append([4, 1]),
+        lambda c: c["q_rows"][1].append([-1, 1]),
+        lambda c: c["pinv_rows"][0].append([4, 1]),
+        lambda c: c["pinv_rows"][2].append([-2, 1]),
+        lambda c: c["blocks"][0]["rows"].append(4),
+        lambda c: c["blocks"][0]["rows"].append(-1),
+        lambda c: c["blocks"][0]["cols"].append(9),
+        lambda c: c["blocks"][0]["cols"].append(-4),
+    ], ids=["q_rows_high", "q_rows_negative", "pinv_rows_high",
+            "pinv_rows_negative", "block_rows_high", "block_rows_negative",
+            "block_cols_high", "block_cols_negative"])
+    def test_index_out_of_range(self, runner, tmp_path, tamper):
+        result = self._tampered(runner, tmp_path, tamper)
+        assert result.exit_code == 2
+        assert "outside [0, 4)" in result.output
+
+    @pytest.mark.parametrize("table", ["q_rows", "pinv_rows"])
+    def test_transform_length_mismatch(self, runner, tmp_path, table):
+        result = self._tampered(runner, tmp_path, lambda c: c[table].pop())
+        assert result.exit_code == 2
+        assert f"{table} has 3 rows, expected 4" in result.output
+
+    def test_final_matrix_shape_mismatch(self, runner, tmp_path):
+        def tamper(cert):
+            cert["matrix"] = write_scc2020(GradedMatrix([(0, 0)], []))
+        result = self._tampered(runner, tmp_path, tamper)
+        assert result.exit_code == 2
+        assert "final matrix is 1x0" in result.output
+
 
 class TestGenerate:
     def test_intervals_with_sidecar(self, runner, tmp_path):

@@ -94,6 +94,16 @@ class TestGenerateDec:
     def test_small_counts(self):
         assert [dec_count(k, 2) for k in range(1, 5)] == [1, 2, 7, 43]
 
+    @pytest.mark.parametrize("q,k", [(2, k) for k in range(1, 8)]
+                             + [(3, k) for k in range(1, 7)])
+    def test_count_closed_form(self, q, k):
+        # every l-subspace for l < k/2; at l = k/2 the cells whose pivots
+        # avoid row 0 are exactly the subspaces of {x_0 = 0}, and are skipped
+        expected = sum(gaussian_binomial(k, l, q) for l in range(1, k // 2 + 1))
+        if k % 2 == 0:
+            expected -= gaussian_binomial(k - 1, k // 2, q)
+        assert dec_count(k, q) == (expected if k > 1 else 1)
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             list(generate_dec(0, 2))
