@@ -79,7 +79,6 @@ def _report_json(report) -> dict:
         "interval_decomposable": report.interval_decomposable,
         "strategy": report.strategy,
         "k_max": report.k_max,
-        "kappa_max": report.kappa_max,
         "subspace_iterations": report.counters.get("subspace_iterations", 0),
         "counters": dict(report.counters),
         "timings": {k: round(v, 6) for k, v in report.timings.items()},
@@ -175,6 +174,16 @@ def _check_indices(cert_path, what, index_lists, size):
                              f"[0, {size})")
 
 
+def _check_scalars(cert_path, what, table):
+    """Exit 2 unless every scalar of a sparse transform is an int; a float
+    would be truncated silently."""
+    for row in table:
+        for i, v in row.items():
+            if type(v) is not int:
+                _input_error(f"{cert_path}: {what}: scalar {v!r} at index "
+                             f"{i!r} is not an integer")
+
+
 @main.command("verify")
 @click.argument("original", type=click.Path())
 @click.argument("artifact_dir", type=click.Path())
@@ -218,6 +227,7 @@ def cmd_verify(original, artifact_dir, field):
             _input_error(f"{cert_path}: {what} has {len(table)} rows, "
                          f"expected {size}")
         _check_indices(cert_path, what, table, size)
+        _check_scalars(cert_path, what, table)
     for rows, cols, name in blocks:
         _check_indices(cert_path, f"block {name} rows", [rows], n_rows)
         _check_indices(cert_path, f"block {name} cols", [cols], n_cols)

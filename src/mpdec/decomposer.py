@@ -4,11 +4,11 @@ The main routine walks the column batches (maximal equal-degree groups) in a
 linear extension of the product order. Within a batch it first sweeps each
 pending column against the reduced low-degree columns of the blocks it
 touches, then tries to zero each block's sub-batch outright, and finally
-dispatches the surviving (blocks, columns) connected components to one of
-two strategies: exhaustive subspace enumeration, or the digraph-driven
-strategy with per-component enumeration plus cocycle clearing. The
-interval_auto strategy runs the exhaustive path and reads the
-interval-decomposability decision off the summands.
+splits each surviving (blocks, columns) connected component by subspace
+enumeration over the component's columns. Its cost is exponential only in
+k, the width of the batch, as for the paper's AIDA. Every strategy runs
+this one path; interval_auto also reads the interval-decomposability
+decision off the summands.
 """
 
 from __future__ import annotations
@@ -45,90 +45,6 @@ class DecompositionError(Exception):
 
 # ---------------------------------------------------------------------------
 # graph utilities
-
-
-def strongly_connected_components(vertices, edges):
-    """Tarjan's algorithm; returns SCCs as sorted vertex lists.
-
-    Args:
-        vertices: iterable of hashable vertex names.
-        edges: dict vertex -> iterable of successor vertices.
-    """
-    index_counter = [0]
-    stack = []
-    lowlink = {}
-    index = {}
-    on_stack = set()
-    result = []
-
-    def strong_connect(node):
-        index[node] = index_counter[0]
-        lowlink[node] = index_counter[0]
-        index_counter[0] += 1
-        stack.append(node)
-        on_stack.add(node)
-        for succ in sorted(edges.get(node, ())):
-            if succ not in index:
-                strong_connect(succ)
-                lowlink[node] = min(lowlink[node], lowlink[succ])
-            elif succ in on_stack:
-                lowlink[node] = min(lowlink[node], index[succ])
-        if lowlink[node] == index[node]:
-            comp = []
-            while True:
-                succ = stack.pop()
-                on_stack.remove(succ)
-                comp.append(succ)
-                if succ == node:
-                    break
-            result.append(sorted(comp))
-
-    for v in sorted(vertices):
-        if v not in index:
-            strong_connect(v)
-    return result
-
-
-def condensation_order(vertices, edges):
-    """SCCs of the digraph in a topological order, edge sources first.
-
-    Returns:
-        list of SCCs (sorted vertex lists); if an edge u -> v runs between
-        two components, the component of u comes first. Ties are broken by
-        smallest contained vertex.
-    """
-    sccs = strongly_connected_components(vertices, edges)
-    comp_of = {}
-    for ci, comp in enumerate(sccs):
-        for v in comp:
-            comp_of[v] = ci
-    succs = {ci: set() for ci in range(len(sccs))}
-    preds = {ci: 0 for ci in range(len(sccs))}
-    for u, vs in edges.items():
-        for v in vs:
-            cu, cv = comp_of[u], comp_of[v]
-            if cu != cv and cv not in succs[cu]:
-                succs[cu].add(cv)
-                preds[cv] += 1
-    ready = sorted(
-        (ci for ci in range(len(sccs)) if preds[ci] == 0),
-        key=lambda ci: sccs[ci][0],
-    )
-    order = []
-    while ready:
-        ci = ready.pop(0)
-        order.append(sccs[ci])
-        changed = False
-        for cv in succs[ci]:
-            preds[cv] -= 1
-            if preds[cv] == 0:
-                ready.append(cv)
-                changed = True
-        if changed:
-            ready.sort(key=lambda c: sccs[c][0])
-    if len(order) != len(sccs):
-        raise DecompositionError("condensation is not acyclic")
-    return order
 
 
 def _support_components(bids, cols, support):
@@ -179,11 +95,9 @@ class Block:
 
 
 class _State:
-    def __init__(self, m: GradedMatrix, strategy: str, use_sweep: bool,
-                 use_homset: bool):
+    def __init__(self, m: GradedMatrix, use_sweep: bool, use_homset: bool):
         self.m = m
         self.q = m.field.q
-        self.strategy = strategy
         self.use_sweep = use_sweep
         self.use_homset = use_homset
         self.tp = TransformPair(m.num_rows, m.num_cols, m.field)
@@ -196,7 +110,6 @@ class _State:
         self._cok_cache = {}
         self.stats = {
             "k_max": 0,
-            "kappa_max": 0,
             "subspace_iterations": 0,
             "hom_computations": 0,
             "sweep_ops": 0,
@@ -554,38 +467,29 @@ def _try_clear_joint(state: _State, trial: _Trial, tgt_bids, positions,
     return True
 
 
-def _exhaustive_split(state: _State, trial: _Trial, bids, positions,
-                      allow_detach: bool):
+def _exhaustive_split(state: _State, trial: _Trial, bids, positions):
     """Recursively split (blocks, batch columns) into merge groups.
 
     Returns:
-        (groups, detached): groups is a list of (block id set, local column
-        position set) to be merged; detached lists positions whose slices
-        vanished on every block in scope (only legal when allow_detach).
+        list of (block id set, local column position set), one per group
+        to be merged.
     """
     groups = []
-    detached = []
     bids = sorted(bids)
     support = [np.any(trial.slices[b][:, positions], axis=0) for b in bids]
     for comp_bids, comp_pos in _support_components(bids, positions, support):
         if not comp_pos:
             continue  # blocks untouched by the batch stay as they are
         if not comp_bids:
-            if allow_detach:
-                detached.extend(comp_pos)
-                continue
             raise DecompositionError(
                 "batch column vanished on a minimal presentation"
             )
-        g, d = _exhaustive_component(state, trial, comp_bids, comp_pos,
-                                     allow_detach)
-        groups.extend(g)
-        detached.extend(d)
-    return groups, detached
+        groups.extend(
+            _exhaustive_component(state, trial, comp_bids, comp_pos))
+    return groups
 
 
-def _exhaustive_component(state: _State, trial: _Trial, bids, positions,
-                          allow_detach: bool):
+def _exhaustive_component(state: _State, trial: _Trial, bids, positions):
     """One connected component: iterate subspace pairs, else merge."""
     alpha = trial.alpha
     # per-block outright clears first; a success can split the component
@@ -595,10 +499,10 @@ def _exhaustive_component(state: _State, trial: _Trial, bids, positions,
                 state, trial, b, positions, bids, alpha):
             cleared_any = True
     if cleared_any:
-        return _exhaustive_split(state, trial, bids, positions, allow_detach)
+        return _exhaustive_split(state, trial, bids, positions)
     k = len(positions)
     if k == 1:
-        return [(set(bids), set(positions))], []
+        return [(set(bids), set(positions))]
     for t1, t2 in generate_dec(k, state.q):
         state.stats["subspace_iterations"] += 1
         l = t1.shape[1]
@@ -612,10 +516,6 @@ def _exhaustive_component(state: _State, trial: _Trial, bids, positions,
             _try_clear_trial(state, trial, b, pos1, bids, alpha)
         b1 = [b for b in sorted(bids) if trial.nonzero(b, pos1)]
         if l and not b1:
-            if allow_detach:
-                groups, det = _exhaustive_split(state, trial, bids, pos2,
-                                                allow_detach)
-                return groups, det + list(pos1)
             raise DecompositionError(
                 "batch columns vanished on a minimal presentation"
             )
@@ -629,10 +529,9 @@ def _exhaustive_component(state: _State, trial: _Trial, bids, positions,
             trial.restore(snap)
             continue
         b2 = [b for b in bids if b not in set(b1)]
-        g1, d1 = _exhaustive_split(state, trial, b1, pos1, allow_detach)
-        g2, d2 = _exhaustive_split(state, trial, b2, pos2, allow_detach)
-        return g1 + g2, d1 + d2
-    return [(set(bids), set(positions))], []
+        return (_exhaustive_split(state, trial, b1, pos1)
+                + _exhaustive_split(state, trial, b2, pos2))
+    return [(set(bids), set(positions))]
 
 
 # ---------------------------------------------------------------------------
@@ -663,141 +562,12 @@ def _sweep_block(state: _State, bid, cols, alpha):
 
 
 # ---------------------------------------------------------------------------
-# digraph strategy
-
-
-def _cocycle_clear(state: _State, d, c, dcols, alpha, owned) -> bool:
-    """Try to zero block c's rows inside block d's batch columns.
-
-    Allowed operations: morphism-pair row additions d -> c, column additions
-    from c's columns of degree <= alpha, and column additions from c's own
-    batch columns into d's. Applied immediately on success.
-    """
-    q = state.q
-    crows = state.blocks[c].rows
-    cslice = state.m.dense_slice(crows, dcols)
-    if not np.any(cslice):
-        return True
-    width = int(np.count_nonzero(np.any(cslice, axis=0)))
-    state.stats["kappa_max"] = max(state.stats["kappa_max"], width)
-    dslice = state.m.dense_slice(state.blocks[d].rows, dcols)
-    lam_terms, lam_meta = [], []
-    for qq, pp in state.clear_sources(d, c, alpha):
-        lam_terms.append((None, (qq @ dslice) % q))
-        lam_meta.append((d, qq, pp))
-    # column sources: c's columns of degree < alpha, then c's batch columns
-    col_terms, col_srcs = [], []
-    bu, u_cols = state.low_cols_dense(c, alpha)
-    if bu.shape[1]:
-        col_terms.append((None, bu))
-        col_srcs.append(u_cols)
-    ccols = owned.get(c, [])
-    v_src = state.m.dense_slice(crows, ccols)
-    if np.any(v_src):
-        col_terms.append((None, v_src))
-        col_srcs.append(ccols)
-    sol = blockreduce.solve_clear(
-        [blockreduce.ClearTarget(cslice, lam_terms, col_terms)], q)
-    if sol is None:
-        return False
-    [(lams, colvals)], _ = sol
-    state.apply_clear(c, alpha, _group_sources(lams, lam_meta, q))
-    for x, src_cols in zip(colvals, col_srcs):
-        state.apply_col_solution(x, src_cols, dcols)
-    if np.any(state.m.dense_slice(crows, dcols)):
-        raise DecompositionError("cocycle clearing left a nonzero slice")
-    return True
-
-
-def _aida_component(state: _State, bids, cols, alpha):
-    """Digraph strategy on one connected (blocks, batch columns) component.
-
-    Blocks are grouped by the condensation of the Hom^alpha digraph and
-    processed sources-first; each group runs the subspace enumeration only
-    on itself against the still-pending columns, then the columns owned by
-    earlier groups are cleared on the new rows or force eager merges.
-    """
-    q = state.q
-    bids = sorted(bids)
-    edges = {}
-    for s in bids:
-        for t in bids:
-            if s != t and state.clear_sources(s, t, alpha):
-                edges.setdefault(s, set()).add(t)
-    order = condensation_order(bids, edges)
-
-    alias = {}
-
-    def resolve(b):
-        while b in alias:
-            b = alias[b]
-        return b
-
-    pending = sorted(cols)
-    owned = {}
-    processed = []
-    for scc in order:
-        scc_ids = sorted({resolve(b) for b in scc})
-        if pending:
-            trial = _Trial(state, scc_ids, pending, alpha)
-            groups, detached = _exhaustive_split(
-                state, trial, scc_ids, list(range(len(pending))), True)
-            trial.commit()
-            for gbids, gpos in groups:
-                gcols = sorted(trial.cols[p] for p in gpos)
-                keep = state.merge(sorted(gbids), gcols)
-                for b in gbids:
-                    if b != keep:
-                        alias[b] = keep
-                owned[keep] = sorted(owned.get(keep, []) + gcols)
-            pending = sorted(trial.cols[p] for p in detached)
-        cur = sorted({resolve(b) for b in scc_ids})
-        work = list(processed)
-        wi = 0
-        while wi < len(work):
-            d = work[wi]
-            wi += 1
-            if resolve(d) != d:
-                continue
-            dcols = owned.get(d, [])
-            if not dcols:
-                continue
-            merged = False
-            for c in list(cur):
-                c = resolve(c)
-                if c == d or c not in state.blocks:
-                    continue
-                if _cocycle_clear(state, d, c, dcols, alpha, owned):
-                    continue
-                keep = state.merge([d, c], [])
-                loser = c if keep == d else d
-                alias[loser] = keep
-                owned[keep] = sorted(owned.pop(d, []) + owned.pop(c, []))
-                cur = sorted({resolve(b) for b in cur} | {keep})
-                work.append(keep)
-                merged = True
-                break
-            if merged:
-                continue
-        processed.extend(sorted({resolve(b) for b in scc_ids}))
-    if pending:
-        raise DecompositionError(
-            "batch columns left unassigned in a minimal presentation"
-        )
-
-
-# ---------------------------------------------------------------------------
 # main routine
 
 
 def _run_exhaustive(state: _State, bids, cols, alpha):
-    trial = _Trial(state, sorted(bids), sorted(cols), alpha)
-    groups, detached = _exhaustive_split(
-        state, trial, sorted(bids), list(range(len(trial.cols))), False)
-    if detached:
-        raise DecompositionError(
-            "batch column vanished on a minimal presentation"
-        )
+    trial = _Trial(state, bids, cols, alpha)
+    groups = _exhaustive_split(state, trial, bids, list(range(len(cols))))
     trial.commit()
     for gbids, gpos in groups:
         state.merge(sorted(gbids), sorted(trial.cols[p] for p in gpos))
@@ -812,7 +582,7 @@ def _process_batch(state: _State, alpha, batch_cols):
             _sweep_block(state, b, cols, alpha)
         cand = state.support_blocks(cols)
     if cand:
-        # per-block outright clears before any strategy dispatch
+        # per-block outright clears before splitting into components
         trial = _Trial(state, cand, cols, alpha)
         allpos = list(range(len(cols)))
         for b in cand:
@@ -830,10 +600,7 @@ def _process_batch(state: _State, alpha, batch_cols):
             raise DecompositionError(
                 "zero batch column in a minimal presentation"
             )
-        if state.strategy == "aida":
-            _aida_component(state, gbids, gcols, alpha)
-        else:
-            _run_exhaustive(state, gbids, gcols, alpha)
+        _run_exhaustive(state, gbids, gcols, alpha)
 
 
 def summand_signature(m: GradedMatrix):
@@ -860,7 +627,6 @@ class DecompositionReport:
     block_cols: list
     strategy: str
     k_max: int
-    kappa_max: int
     counters: dict
     timings: dict
     transform: TransformPair
@@ -914,14 +680,13 @@ def decompose(m: GradedMatrix, strategy: str = "exhaustive",
 
     Args:
         m: graded presentation matrix (minimized automatically if needed).
-        strategy: "exhaustive" (subspace enumeration per component), "aida"
-            (digraph condensation with per-group enumeration), or
-            "interval_auto" (the exhaustive path, reporting whether every
-            summand is an interval as interval_decomposable).
+        strategy: "exhaustive" or "aida" (both run subspace enumeration
+            per component), or "interval_auto" (the same path, reporting
+            whether every summand is an interval as interval_decomposable).
         use_sweep: reduce batch columns against low-degree block columns
             before any clearing.
-        use_homset: restrict clearing to Hom^alpha representatives and build
-            digraph edges from Hom^alpha (otherwise full Hom bases).
+        use_homset: restrict clearing to Hom^alpha representatives
+            (otherwise full Hom bases).
         verify: run the dense certificate check before returning.
 
     Returns:
@@ -941,7 +706,7 @@ def decompose(m: GradedMatrix, strategy: str = "exhaustive",
             f"{len(mrep['cancelled_pairs'])} pair(s), deleted "
             f"{mrep['deleted_columns']} redundant column(s)"
         )
-    state = _State(minimized.copy(), strategy, use_sweep, use_homset)
+    state = _State(minimized.copy(), use_sweep, use_homset)
     t1 = time.perf_counter()
     for alpha, cols in sort_and_batch(state.m):
         _process_batch(state, alpha, cols)
@@ -966,7 +731,6 @@ def decompose(m: GradedMatrix, strategy: str = "exhaustive",
         block_cols=bcols,
         strategy=strategy,
         k_max=state.stats["k_max"],
-        kappa_max=state.stats["kappa_max"],
         counters=dict(state.stats),
         timings=timings,
         transform=state.tp,

@@ -142,6 +142,22 @@ def clearing_fixture():
     return m, [0, 1], [0, 1], [2, 3], [2, 3]
 
 
+def equal_rows_split_matrix() -> GradedMatrix:
+    """Two summands that only a row addition between equal-degree
+    generators separates.
+
+    Generators at (0,2), (1,2), (2,1), (2,1) and one batch of two relations
+    at (2,2). Adding row 2 to row 3 (both at (2,1)) clears row 3's entry in
+    the first column, which splits the presentation into two summands of
+    size (2, 1): rows {0, 2} with the first relation and rows {1, 3} with
+    the second.
+    """
+    dense = np.array([[1, 0], [0, 1], [1, 0], [1, 1]], dtype=np.int64)
+    gens = [(0, 2), (1, 2), (2, 1), (2, 1)]
+    rels = [(2, 2), (2, 2)]
+    return GradedMatrix.from_dense(dense, gens, rels, field=f2())
+
+
 def obstruction_matrix() -> GradedMatrix:
     """Batch fixture where greedy single-column clearing goes wrong.
 

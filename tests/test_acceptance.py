@@ -169,11 +169,11 @@ class TestOrbitOracleCorpus:
         rows, cols = TEMPLATES[tidx]
         orbits = TemplateOrbits(rows, cols)
         for mask in orbits.minimal_masks():
-            m = orbits.matrix(mask)
-            report = decompose(m, strategy="exhaustive")
-            assert report.num_summands == orbits.num_summands(mask), (
-                f"mask {mask:#x} in template {tidx}"
-            )
+            for strategy in STRATS + ("interval_auto",):
+                report = decompose(orbits.matrix(mask), strategy=strategy)
+                assert report.num_summands == orbits.num_summands(mask), (
+                    f"mask {mask:#x} in template {tidx}, {strategy}"
+                )
 
 
 class TestIntervalAutoScaling:

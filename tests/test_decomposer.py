@@ -1,4 +1,4 @@
-"""Full decomposition pipeline, condensation order, and report certificates."""
+"""Full decomposition pipeline and report certificates."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,48 +7,17 @@ from hypothesis import strategies as st
 from fixtures import (
     chain_digraph_matrix,
     clearing_fixture,
+    equal_rows_split_matrix,
     f2,
     join_pair_matrix,
     obstruction_matrix,
 )
-from mpdec.decomposer import (
-    condensation_order,
-    decompose,
-    strongly_connected_components,
-    summand_signature,
-)
+from mpdec.decomposer import STRATEGIES, decompose, summand_signature
 from mpdec.fields import FieldConfig
 from mpdec.generators import gen_grid, gen_intervals, gen_random_er, mix
 from mpdec.grading import GradedMatrix
 
 STRATS = ("exhaustive", "aida")
-
-
-class TestSccAndOrder:
-    def test_acyclic_graph_singletons(self):
-        comps = strongly_connected_components([1, 2, 3], {1: [2], 2: [3]})
-        assert sorted(comps) == [[1], [2], [3]]
-
-    def test_two_cycle_merged(self):
-        comps = strongly_connected_components([1, 2, 3], {1: [2], 2: [1, 3]})
-        assert sorted(comps) == [[1, 2], [3]]
-
-    def test_condensation_respects_edges(self):
-        edges = {3: [1], 4: [3], 2: [1]}
-        order = condensation_order([1, 2, 3, 4], edges)
-        pos = {}
-        for idx, comp in enumerate(order):
-            for v in comp:
-                pos[v] = idx
-        for src, dsts in edges.items():
-            for dst in dsts:
-                assert pos[src] < pos[dst]
-
-    def test_deterministic(self):
-        edges = {2: [1], 3: [1], 4: [2, 3]}
-        a = condensation_order([1, 2, 3, 4], edges)
-        b = condensation_order([4, 3, 2, 1], {4: [3, 2], 3: [1], 2: [1]})
-        assert a == b
 
 
 class TestDecomposeFixtures:
@@ -96,6 +65,12 @@ class TestDecomposeFixtures:
         sizes = sorted((s.num_rows, s.num_cols) for s in report.summands)
         assert sizes == [(2, 2), (2, 3)]
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_equal_rows_split(self, strategy):
+        report = decompose(equal_rows_split_matrix(), strategy=strategy)
+        assert report.num_summands == 2
+        assert report.verify()
+
     def test_summands_are_indecomposable(self):
         for src in (chain_digraph_matrix(), clearing_fixture()[0],
                     obstruction_matrix()):
@@ -139,7 +114,8 @@ class TestCountersAndConservation:
 
 class TestAidaCertificates:
     """aida's certificate identity holds where batches share rows with
-    columns already owned by other blocks."""
+    columns already owned by other blocks, and its summands agree with
+    exhaustive's."""
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_small_grid_corpus(self, q):
@@ -147,6 +123,9 @@ class TestAidaCertificates:
             m, _ = gen_grid(60, 60, 3, 0.06, seed=seed, field=FieldConfig(q))
             report = decompose(m, strategy="aida")
             assert report.verify(), f"seed {seed} over F_{q}"
+            reference = decompose(m, strategy="exhaustive")
+            assert (report.signature_multiset()
+                    == reference.signature_multiset()), f"seed {seed} over F_{q}"
 
     def test_grid_repro(self):
         m, _ = gen_grid(80, 80, 3, 0.05, seed=3)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from fixtures import antidiagonal_batch_matrix, chain_digraph_matrix, join_pair_matrix
 from mpdec.fields import FieldConfig
 from mpdec.generators import gen_intervals, gen_random_er
+from mpdec.grading import GradedMatrix
 from mpdec.sccio import SccParseError, parse_scc2020, strip_comments, write_scc2020
 
 JOIN_DOC = """\
@@ -105,3 +106,64 @@ class TestRoundTrip:
         m, _ = gen_intervals(5, seed=9, field=FieldConfig(5), mixed=True)
         text = write_scc2020(m)
         assert parse_scc2020(text, FieldConfig(5)).equal(m)
+
+
+FUZZ_TOKENS = ["", "0", "1", "2", "-1", "7", ";", ":", "0:0", "1:0", "0:2",
+               "3:1", "1:2", "0:1", "2:-1", "1:", ":1", "1:2:3", "x", "#",
+               "scc2020", "3.5", "1e3", "+1", "99999999999999999999"]
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid scc2020 text with a few lines or tokens deleted, duplicated
+    or replaced."""
+    q = draw(st.sampled_from([2, 3]))
+    dense = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=3,
+                                   max_size=3), min_size=3, max_size=3))
+    # every relation dominates every generator, so each entry is admissible
+    m = GradedMatrix.from_dense(dense, [(0, 2), (1, 1), (2, 0)],
+                                [(2, 2)] * 3, field=FieldConfig(q))
+    lines = write_scc2020(m).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            lines.append(draw(st.sampled_from(FUZZ_TOKENS)))
+            continue
+        at = draw(st.integers(0, len(lines) - 1))
+        # token edits keep most documents close enough to valid that the
+        # entry checks, not only the header checks, are reached
+        op = draw(st.sampled_from(
+            ["delete_line", "duplicate_line", "replace_line",
+             "delete_token", "duplicate_token"] + ["replace_token"] * 5))
+        if op == "delete_line":
+            del lines[at]
+        elif op == "duplicate_line":
+            lines.insert(at, lines[at])
+        elif op == "replace_line":
+            lines[at] = " ".join(draw(st.lists(
+                st.sampled_from(FUZZ_TOKENS), max_size=4)))
+        else:
+            toks = lines[at].split()
+            t = draw(st.integers(0, len(toks)))
+            if op == "delete_token" and t < len(toks):
+                del toks[t]
+            elif op == "duplicate_token" and t < len(toks):
+                toks.insert(t, toks[t])
+            else:
+                toks[t:t + 1] = [draw(st.sampled_from(FUZZ_TOKENS))]
+            lines[at] = " ".join(toks)
+    return "\n".join(lines) + "\n", q
+
+
+class TestParseFuzz:
+    """Mutated documents either parse to a valid presentation or raise one
+    of the two errors the CLI maps to exit code 2."""
+
+    @settings(deadline=None, max_examples=1000)
+    @given(mutated_documents())
+    def test_parse_or_clean_error(self, doc_and_q):
+        doc, q = doc_and_q
+        try:
+            m = parse_scc2020(doc, FieldConfig(q))
+        except (SccParseError, ValueError):
+            return
+        m.validate()
