@@ -174,14 +174,15 @@ def _check_indices(cert_path, what, index_lists, size):
                              f"[0, {size})")
 
 
-def _check_scalars(cert_path, what, table):
-    """Exit 2 unless every scalar of a sparse transform is an int; a float
-    would be truncated silently."""
+def _check_scalars(cert_path, what, table, q):
+    """Exit 2 unless every scalar of a sparse transform is an int in
+    [0, q); a float would be truncated silently and an int beyond int64
+    would overflow the dense matrix."""
     for row in table:
         for i, v in row.items():
-            if type(v) is not int:
+            if type(v) is not int or not 0 <= v < q:
                 _input_error(f"{cert_path}: {what}: scalar {v!r} at index "
-                             f"{i!r} is not an integer")
+                             f"{i!r} is not an integer in [0, {q})")
 
 
 @main.command("verify")
@@ -227,7 +228,7 @@ def cmd_verify(original, artifact_dir, field):
             _input_error(f"{cert_path}: {what} has {len(table)} rows, "
                          f"expected {size}")
         _check_indices(cert_path, what, table, size)
-        _check_scalars(cert_path, what, table)
+        _check_scalars(cert_path, what, table, q)
     for rows, cols, name in blocks:
         _check_indices(cert_path, f"block {name} rows", [rows], n_rows)
         _check_indices(cert_path, f"block {name} cols", [cols], n_cols)

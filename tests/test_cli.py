@@ -167,13 +167,15 @@ class TestVerify:
         assert f"{table} has 3 rows, expected 4" in result.output
 
     @pytest.mark.parametrize("table", ["q_rows", "pinv_rows"])
-    @pytest.mark.parametrize("scalar", ["x", 1.5], ids=["string", "float"])
+    @pytest.mark.parametrize("scalar", ["x", 1.5, 2 ** 70, -1, 2],
+                             ids=["string", "float", "huge", "negative",
+                                  "field_order"])
     def test_non_integer_scalar(self, runner, tmp_path, table, scalar):
         def tamper(cert):
             cert[table][0][0][1] = scalar
         result = self._tampered(runner, tmp_path, tamper)
         assert result.exit_code == 2
-        assert "is not an integer" in result.output
+        assert "is not an integer in [0, 2)" in result.output
 
     def test_final_matrix_shape_mismatch(self, runner, tmp_path):
         def tamper(cert):
