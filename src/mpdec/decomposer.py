@@ -29,11 +29,11 @@ from .grading import (
     sort_and_batch,
 )
 from .hom import (
-    AlphaHomBasis,
     HomBasis,
     alpha_quotient,
     cokernel_at,
     hom_pairs,
+    single_generator_reps,
 )
 from .intervals import check_interval, dimension_grid
 from .subspaces import generate_dec
@@ -104,10 +104,15 @@ class _State:
         # one block per generator to start with; block ids are row indices
         self.blocks = {i: Block(i, [i], []) for i in range(m.num_rows)}
         self.row_block = list(range(m.num_rows))
-        self._hom_cache = {}
-        self._alpha_cache = {}
+        # keyed by block versions: valid across batches
         self._proper_cache = {}
+        self._hom_cache = {}
+        self._admissible_cache = {}
+        # keyed by the batch degree too: emptied by begin_batch
+        self._alpha_cache = {}
         self._cok_cache = {}
+        # blocks that received columns of the batch in progress
+        self._holds_batch = set()
         self.stats = {
             "k_max": 0,
             "subspace_iterations": 0,
@@ -118,18 +123,28 @@ class _State:
 
     # -- block views --------------------------------------------------------
 
-    def proper_matrix(self, bid: int, alpha) -> GradedMatrix:
-        b = self.blocks[bid]
-        key = (bid, b.version, tuple(alpha))
+    def proper_cols(self, bid: int):
+        """The block's columns, none of which has the batch degree.
+
+        A block gets columns of the batch in progress only when its
+        component is merged, and no later query of that batch touches it:
+        the components are disjoint. So every column of a queried block is
+        proper, and its proper presentation changes only when merge bumps
+        its version.
+        """
+        if bid in self._holds_batch:
+            raise DecompositionError(
+                f"block {bid} already owns a column of the batch in progress")
+        return self.blocks[bid].cols
+
+    def proper_matrix(self, bid: int) -> GradedMatrix:
+        key = (bid, self.blocks[bid].version)
         cached = self._proper_cache.get(key)
         if cached is None:
-            cached = self.m.submatrix(b.rows, self.proper_cols(bid, alpha))
+            cached = self.m.submatrix(self.blocks[bid].rows,
+                                      self.proper_cols(bid))
             self._proper_cache[key] = cached
         return cached
-
-    def proper_cols(self, bid: int, alpha):
-        b = self.blocks[bid]
-        return [c for c in b.cols if self.m.col_degrees[c] != alpha]
 
     def support_blocks(self, cols):
         """Blocks owning a row with an entry in any of the given columns."""
@@ -141,61 +156,83 @@ class _State:
 
     def low_cols_dense(self, bid: int, alpha):
         """Dense matrix of the block's columns of degree < alpha, over its rows."""
-        b = self.blocks[bid]
-        cols = [c for c in b.cols if leq(self.m.col_degrees[c], alpha)
-                and self.m.col_degrees[c] != alpha]
-        return self.m.dense_slice(b.rows, cols), cols
+        cols = [c for c in self.proper_cols(bid)
+                if leq(self.m.col_degrees[c], alpha)]
+        return self.m.dense_slice(self.blocks[bid].rows, cols), cols
 
     # -- caches -------------------------------------------------------------
 
-    def hom_between(self, src_bid: int, tgt_bid: int, alpha):
+    def _pair_key(self, src_bid: int, tgt_bid: int):
+        return (src_bid, self.blocks[src_bid].version,
+                tgt_bid, self.blocks[tgt_bid].version)
+
+    def hom_between(self, src_bid: int, tgt_bid: int):
         """Raw morphism pair basis between the blocks' proper presentations."""
-        bs, bt = self.blocks[src_bid], self.blocks[tgt_bid]
-        key = (src_bid, bs.version, tgt_bid, bt.version, tuple(alpha))
-        if key not in self._hom_cache:
+        key = self._pair_key(src_bid, tgt_bid)
+        pairs = self._hom_cache.get(key)
+        if pairs is None:
             self.stats["hom_computations"] += 1
-            self._hom_cache[key] = hom_pairs(
-                self.proper_matrix(src_bid, alpha),
-                self.proper_matrix(tgt_bid, alpha),
-            )
-        return self._hom_cache[key]
+            pairs = hom_pairs(self.proper_matrix(src_bid),
+                              self.proper_matrix(tgt_bid))
+            self._hom_cache[key] = pairs
+        return pairs
+
+    def q_admissible(self, src_bid: int, tgt_bid: int) -> bool:
+        """Whether some target generator lies below some source generator;
+        otherwise every morphism pair has Q = 0 and vanishes at any degree."""
+        key = self._pair_key(src_bid, tgt_bid)
+        ok = self._admissible_cache.get(key)
+        if ok is None:
+            degs = self.m.row_degrees
+            ok = any(leq(degs[i], degs[j])
+                     for i in self.blocks[tgt_bid].rows
+                     for j in self.blocks[src_bid].rows)
+            self._admissible_cache[key] = ok
+        return ok
 
     def cok_at(self, bid: int, alpha):
-        b = self.blocks[bid]
-        key = (bid, b.version, tuple(alpha))
+        key = (bid, self.blocks[bid].version, tuple(alpha))
         if key not in self._cok_cache:
-            self._cok_cache[key] = cokernel_at(self.proper_matrix(bid, alpha), alpha)
+            self._cok_cache[key] = cokernel_at(self.proper_matrix(bid), alpha)
         return self._cok_cache[key]
 
     def alpha_reps(self, src_bid: int, tgt_bid: int, alpha):
-        """Hom^alpha representative pairs (falls back to the raw basis)."""
-        bs, bt = self.blocks[src_bid], self.blocks[tgt_bid]
-        key = (src_bid, bs.version, tgt_bid, bt.version, tuple(alpha))
-        if key not in self._alpha_cache:
-            # without an admissible Q position every pair has Q = 0 and
-            # vanishes at alpha
-            if not any(
-                leq(self.m.row_degrees[i], self.m.row_degrees[j])
-                for i in bt.rows for j in bs.rows
-            ):
-                self._alpha_cache[key] = AlphaHomBasis([], [], 0)
-                return self._alpha_cache[key]
-            raw = self.hom_between(src_bid, tgt_bid, alpha)
-            src = self.proper_matrix(src_bid, alpha)
-            tgt = self.proper_matrix(tgt_bid, alpha)
-            hb = HomBasis(raw, len(raw), len(raw))
-            aq = alpha_quotient(
-                hb, src, tgt, alpha,
+        """Hom^alpha representative pairs between two blocks."""
+        key = self._pair_key(src_bid, tgt_bid) + (tuple(alpha),)
+        reps = self._alpha_cache.get(key)
+        if reps is not None:
+            return reps
+        src_rows = self.blocks[src_bid].rows
+        tgt_rows = self.blocks[tgt_bid].rows
+        if not self.q_admissible(src_bid, tgt_bid):
+            reps = []
+        elif len(src_rows) == len(tgt_rows) == 1:
+            reps = single_generator_reps(
+                self.proper_matrix(src_bid), self.proper_matrix(tgt_bid),
+                alpha, lambda: self.hom_between(src_bid, tgt_bid))
+        else:
+            raw = self.hom_between(src_bid, tgt_bid)
+            reps = alpha_quotient(
+                HomBasis(raw, len(raw), len(raw)),
+                self.proper_matrix(src_bid), self.proper_matrix(tgt_bid),
+                alpha,
                 cok_src=self.cok_at(src_bid, alpha),
                 cok_tgt=self.cok_at(tgt_bid, alpha),
-            )
-            self._alpha_cache[key] = aq
-        return self._alpha_cache[key]
+            ).representatives
+        self._alpha_cache[key] = reps
+        return reps
 
     def clear_sources(self, src_bid: int, tgt_bid: int, alpha):
         if self.use_homset:
-            return self.alpha_reps(src_bid, tgt_bid, alpha).representatives
-        return self.hom_between(src_bid, tgt_bid, alpha)
+            return self.alpha_reps(src_bid, tgt_bid, alpha)
+        return self.hom_between(src_bid, tgt_bid)
+
+    def begin_batch(self):
+        """Start a batch: no block holds its columns yet, and the caches
+        keyed by the previous batch degree are dropped."""
+        self._holds_batch.clear()
+        self._alpha_cache.clear()
+        self._cok_cache.clear()
 
     # -- structure updates --------------------------------------------------
 
@@ -213,6 +250,8 @@ class _State:
         for c in cols:
             if c not in b.cols:
                 b.cols = sorted(b.cols + [c])
+        if cols:
+            self._holds_batch.add(keep)
         b.version += 1
         if len(bids) > 1:
             self.stats["merges"] += 1
@@ -243,25 +282,22 @@ class _State:
             self.m.columns[p] = new
         self.tp.col_transform(positions, t_inv)
 
-    def apply_clear(self, tgt_bid, alpha, sources):
+    def apply_clear(self, tgt_bid, sources):
         """Apply the morphism-pair row additions of a solved clearing.
 
-        The morphism pairs are taken between proper presentations (columns
-        of degree other than alpha), so the compensating column additions
-        restore every proper block exactly; only degree-alpha columns
-        change.
+        The morphism pairs are taken between proper presentations, so the
+        compensating column additions restore every proper block exactly;
+        only batch columns change.
 
         Args:
             tgt_bid: target block id.
-            alpha: batch degree.
             sources: list of (src_bid, Qsum, Psum) morphism-pair sums.
         """
-        tb = self.blocks[tgt_bid]
-        tgt_proper = self.proper_cols(tgt_bid, alpha)
+        tgt_proper = self.proper_cols(tgt_bid)
         for src_bid, qq, pp in sources:
             blockreduce.apply_hom_pair(
-                self.m, self.tp, tb.rows, tgt_proper,
-                self.blocks[src_bid].rows, self.proper_cols(src_bid, alpha),
+                self.m, self.tp, self.blocks[tgt_bid].rows, tgt_proper,
+                self.blocks[src_bid].rows, self.proper_cols(src_bid),
                 qq, pp,
             )
 
@@ -308,7 +344,7 @@ class _Trial:
         del self.log[n:]
 
     def nonzero(self, bid, positions) -> bool:
-        return bool(np.any(self.slices[bid][:, positions]))
+        return bool(self.slices[bid][:, positions].any())
 
     def coltrans(self, positions, t: np.ndarray):
         q = self.state.q
@@ -362,7 +398,7 @@ class _Trial:
                                       [self.cols[p] for p in dst_pos])
             else:
                 _, tgt_bid, positions, sources, u_mat, u_cols = op
-                st.apply_clear(tgt_bid, self.alpha, sources)
+                st.apply_clear(tgt_bid, sources)
                 if u_mat is not None:
                     st.apply_col_solution(u_mat, u_cols,
                                           [self.cols[p] for p in positions])
@@ -377,7 +413,7 @@ def _collect_lam_terms(state: _State, trial: _Trial, tgt_bid, positions,
                        source_bids, alpha):
     lam_terms, lam_meta = [], []
     for src in source_bids:
-        if src == tgt_bid or not np.any(trial.slices[src]):
+        if src == tgt_bid or not trial.slices[src].any():
             continue
         for qq, pp in state.clear_sources(src, tgt_bid, alpha):
             a = (qq @ trial.slices[src][:, positions]) % state.q
@@ -408,7 +444,7 @@ def _try_clear_trial(state: _State, trial: _Trial, tgt_bid, positions,
     Returns True and records the operation on success.
     """
     c = trial.slices[tgt_bid][:, positions]
-    if not np.any(c):
+    if not c.any():
         return True
     lam_terms, lam_meta = _collect_lam_terms(
         state, trial, tgt_bid, positions, source_bids, alpha)
@@ -549,7 +585,7 @@ def _sweep_block(state: _State, bid, cols, alpha):
     sl = state.m.dense_slice(state.blocks[bid].rows, cols)
     for jc, j in enumerate(cols):
         v = sl[:, jc]
-        if not np.any(v):
+        if not v.any():
             continue
         combo = np.zeros(len(u_cols), dtype=np.int64)
         for cidx, p in enumerate(piv):
@@ -575,6 +611,7 @@ def _run_exhaustive(state: _State, bids, cols, alpha):
 
 def _process_batch(state: _State, alpha, batch_cols):
     state.stats["k_max"] = max(state.stats["k_max"], len(batch_cols))
+    state.begin_batch()
     cols = list(batch_cols)
     cand = state.support_blocks(cols)
     if state.use_sweep:

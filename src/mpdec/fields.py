@@ -7,6 +7,8 @@ knows about solving, kernels and echelon forms.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 
@@ -57,6 +59,12 @@ class FieldConfig:
         return f"FieldConfig(q={self.q})"
 
 
+@lru_cache(maxsize=None)
+def _field(q: int) -> FieldConfig:
+    """One FieldConfig (and inverse table) per field order."""
+    return FieldConfig(q)
+
+
 def modq(a: np.ndarray, q: int) -> np.ndarray:
     return np.asarray(a, dtype=np.int64) % q
 
@@ -81,7 +89,7 @@ def column_echelon(a: np.ndarray, q: int):
         of echelon column c (nonzero columns come first), and
         echelon == a @ transform mod q.
     """
-    fq = FieldConfig(q)
+    fq = _field(q)
     e = modq(np.array(a, dtype=np.int64, copy=True), q)
     m, n = e.shape
     t = np.eye(n, dtype=np.int64)

@@ -184,6 +184,45 @@ def induced_at_alpha(qq: np.ndarray, src: GradedMatrix, tgt: GradedMatrix,
     return out
 
 
+def _generator_alive_at(m: GradedMatrix, alpha) -> bool:
+    """Whether a one-generator presentation has a nonzero cokernel at alpha.
+
+    That holds when the generator lies below alpha and no relation below
+    alpha has an entry in its row.
+    """
+    return leq(m.row_degrees[0], alpha) and not any(
+        col and leq(deg, alpha)
+        for col, deg in zip(m.columns, m.col_degrees)
+    )
+
+
+def single_generator_reps(src: GradedMatrix, tgt: GradedMatrix, alpha,
+                          raw_pairs):
+    """Hom^alpha representatives between one-generator presentations.
+
+    Both cokernels at alpha have dimension 0 or 1, so the result equals
+    alpha_quotient(...).representatives without any elimination: empty
+    unless both generators are alive at alpha, otherwise the first raw pair
+    whose Q entry is nonzero (none exists unless the target generator lies
+    below the source generator).
+
+    Args:
+        src, tgt: one-row presentations.
+        alpha: the degree.
+        raw_pairs: zero-argument callable returning the raw pair basis
+            (hom_pairs(src, tgt)); called only when both generators are
+            alive at alpha.
+    """
+    if not (_generator_alive_at(src, alpha)
+            and _generator_alive_at(tgt, alpha)):
+        return []
+    q = src.field.q
+    for pair in raw_pairs():
+        if pair[0][0, 0] % q:
+            return [pair]
+    return []
+
+
 def alpha_quotient(hom: HomBasis, src: GradedMatrix, tgt: GradedMatrix,
                    alpha, cok_src=None, cok_tgt=None) -> AlphaHomBasis:
     """Split a HomBasis by whether the induced map at alpha vanishes.

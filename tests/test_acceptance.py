@@ -16,11 +16,14 @@ from fixtures import (
     chain_blocks,
     chain_digraph_matrix,
     clearing_fixture,
+    equal_rows_split_matrix,
     join_pair_matrix,
     obstruction_matrix,
     staircase_pair,
 )
+from mpdec.cli import _write_artifacts
 from mpdec.decomposer import decompose
+from mpdec.fields import FieldConfig
 from mpdec.generators import gen_grid, gen_intervals, gen_random_er, mix
 from mpdec.hom import alpha_quotient, hom_space
 from mpdec.sccio import parse_scc2020, strip_comments, write_scc2020
@@ -145,13 +148,39 @@ class TestCertificates:
         inputs += [gen_random_er(7, 6, 0.4, seed=s) for s in range(5)]
         inputs += [gen_intervals(15, seed=s)[0] for s in range(3)]
         for m in inputs:
-            for strategy in STRATS + ("interval_auto",):
-                report = decompose(m.copy(), strategy=strategy)
-                assert report.verify()
-                assert report.transform.check_graded(
-                    report.minimized_input.row_degrees,
-                    report.minimized_input.col_degrees,
-                )
+            report = decompose(m.copy(), strategy="exhaustive")
+            assert report.verify()
+            assert report.transform.check_graded(
+                report.minimized_input.row_degrees,
+                report.minimized_input.col_degrees,
+            )
+
+
+def _artifacts(m, strategy, outdir):
+    """Summand files and certificate.json as ``mpdec decompose -o`` writes
+    them, by file name."""
+    _write_artifacts(decompose(m.copy(), strategy=strategy), outdir)
+    return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+
+
+class TestStrategyNames:
+    """aida and interval_auto run the exhaustive batch path: their summand
+    texts and certificate payloads are byte-identical to exhaustive's, so
+    the other tests run exhaustive only."""
+
+    def test_fixtures_and_oracle_sample(self, tmp_path):
+        inputs = [make() for make in ALL_FIXTURES]
+        inputs += [equal_rows_split_matrix(), join_pair_matrix(FieldConfig(3))]
+        inputs += list(chain_blocks())
+        for rows, cols in TEMPLATES:
+            orbits = TemplateOrbits(rows, cols)
+            inputs += [orbits.matrix(mask)
+                       for mask in orbits.minimal_masks()[::25]]
+        for n, m in enumerate(inputs):
+            reference = _artifacts(m, "exhaustive", tmp_path / f"{n}-ex")
+            for strategy in ("aida", "interval_auto"):
+                assert _artifacts(m, strategy, tmp_path / f"{n}-{strategy}") \
+                    == reference, f"input {n}, {strategy}"
 
 
 class TestOrbitOracleCorpus:
@@ -169,11 +198,10 @@ class TestOrbitOracleCorpus:
         rows, cols = TEMPLATES[tidx]
         orbits = TemplateOrbits(rows, cols)
         for mask in orbits.minimal_masks():
-            for strategy in STRATS + ("interval_auto",):
-                report = decompose(orbits.matrix(mask), strategy=strategy)
-                assert report.num_summands == orbits.num_summands(mask), (
-                    f"mask {mask:#x} in template {tidx}, {strategy}"
-                )
+            report = decompose(orbits.matrix(mask), strategy="exhaustive")
+            assert report.num_summands == orbits.num_summands(mask), (
+                f"mask {mask:#x} in template {tidx}"
+            )
 
 
 class TestIntervalAutoScaling:

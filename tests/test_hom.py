@@ -1,11 +1,22 @@
 """Morphism spaces between presentations and their localisation at a degree."""
 
+import itertools
+import random
+
 import numpy as np
+import pytest
 
 from fixtures import chain_blocks, f2, join_pair_matrix, staircase_pair
-from mpdec.fields import matmul
+from mpdec.fields import FieldConfig, matmul
 from mpdec.grading import GradedMatrix
-from mpdec.hom import alpha_quotient, cokernel_at, hom_pairs, hom_space
+from mpdec.hom import (
+    HomBasis,
+    alpha_quotient,
+    cokernel_at,
+    hom_pairs,
+    hom_space,
+    single_generator_reps,
+)
 from mpdec.intervals import check_interval, interval_alpha_hom
 
 
@@ -106,6 +117,49 @@ class TestAlphaQuotient:
         for qq, _ in local.vanishing:
             img = induced_at_alpha(qq, x, y, cs, ct)
             assert not np.any(img)
+
+
+def random_single_generator(rng, d, q):
+    """One generator and 0-3 relations above it, some of them zero."""
+    gen = tuple(rng.randint(0, 2) for _ in range(d))
+    rels = [tuple(g + rng.randint(0, 2) for g in gen)
+            for _ in range(rng.randint(0, 3))]
+    m = GradedMatrix([gen], rels, field=FieldConfig(q))
+    for j in range(len(rels)):
+        if rng.random() < 0.8:
+            m.columns[j] = {0: rng.randint(1, q - 1)}
+    return m
+
+
+class TestSingleGeneratorReps:
+    """The closed form agrees with the generic alpha quotient."""
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_alpha_quotient(self, q, d):
+        rng = random.Random(1000 * q + d)
+        for _ in range(60):
+            src = random_single_generator(rng, d, q)
+            tgt = random_single_generator(rng, d, q)
+            pairs = hom_pairs(src, tgt)
+            hom = HomBasis(pairs, len(pairs), len(pairs))
+            degs = (src.row_degrees + src.col_degrees
+                    + tgt.row_degrees + tgt.col_degrees)
+            axes = [sorted({g[a] for g in degs}) for a in range(d)]
+            for alpha in itertools.product(*axes):
+                fast = single_generator_reps(src, tgt, alpha, lambda: pairs)
+                slow = alpha_quotient(hom, src, tgt, alpha).representatives
+                assert len(fast) == len(slow), (src, tgt, alpha)
+                for (fast_q, fast_p), (slow_q, slow_p) in zip(fast, slow):
+                    assert np.array_equal(fast_q, slow_q)
+                    assert np.array_equal(fast_p, slow_p)
+
+    def test_raw_pairs_only_when_alive(self):
+        m = GradedMatrix([(1, 1)], [], field=f2())
+        called = []
+        assert single_generator_reps(
+            m, m.copy(), (0, 5), lambda: called.append(1)) == []
+        assert not called
 
 
 def interval_fixtures():
