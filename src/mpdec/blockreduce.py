@@ -53,48 +53,51 @@ def solve_clear(targets, q: int, shared=None):
     if not targets:
         return [], None
     k = targets[0].c.shape[1]
-    eye_k = np.eye(k, dtype=np.int64)
-
-    def per_column(b):
-        return b % q if k == 1 else np.kron(b % q, eye_k)
-
-    # one row per (target, slice row, batch column), in that nesting order;
-    # a column-term or shared unknown (a_i, kc) reaches the rows of batch
-    # column kc only, which is kron(B, I_k)
-    blocks = []  # (row offset, dense columns) per target
-    col_meta = []  # (kind, target_idx, term_idx, sub_idx)
+    cols = []  # (vectors stacked over all targets)
     rhs_parts = []
+    row_offsets = []
     total_rows = 0
-    for ti, t in enumerate(targets):
-        n_rows = t.c.shape[0] * k
+    for t in targets:
+        row_offsets.append(total_rows)
+        total_rows += t.c.shape[0] * k
         rhs_parts.append((-t.c % q).ravel())
-        parts = [a.reshape(n_rows, 1) % q for _, a in t.lam_terms]
-        col_meta += [("lam", ti, li, 0) for li in range(len(t.lam_terms))]
+    rhs = np.concatenate(rhs_parts) if rhs_parts else np.zeros(0, dtype=np.int64)
+
+    col_meta = []  # (kind, target_idx, term_idx, sub_idx)
+    for ti, t in enumerate(targets):
+        base = row_offsets[ti]
+        for li, (_, a) in enumerate(t.lam_terms):
+            v = np.zeros(total_rows, dtype=np.int64)
+            v[base:base + a.shape[0] * k] = a.ravel() % q
+            cols.append(v)
+            col_meta.append(("lam", ti, li, 0))
         for ci, (_, b) in enumerate(t.col_terms):
-            parts.append(per_column(b))
-            col_meta += [("col", ti, ci, sub) for sub in range(b.shape[1] * k)]
-        if parts:
-            blocks.append((total_rows, np.hstack(parts)))
-        total_rows += n_rows
-    rhs = np.concatenate(rhs_parts)
-    n_unknowns = len(col_meta)
+            f = b.shape[1]
+            for a_i in range(f):
+                for kc in range(k):
+                    v = np.zeros(total_rows, dtype=np.int64)
+                    v[base + kc:base + t.c.shape[0] * k:k] = b[:, a_i] % q
+                    cols.append(v)
+                    col_meta.append(("col", ti, ci, a_i * k + kc))
     l_shared = 0
     if shared is not None:
         l_shared = next(s.shape[1] for s in shared if s is not None)
-        col_meta += [("shared", -1, 0, sub) for sub in range(l_shared * k)]
-    a_mat = np.zeros((total_rows, len(col_meta)), dtype=np.int64)
-    col = 0
-    for base, dense in blocks:
-        a_mat[base:base + dense.shape[0], col:col + dense.shape[1]] = dense
-        col += dense.shape[1]
-    if shared is not None:
-        base = 0
-        for t, s in zip(targets, shared):
-            n_rows = t.c.shape[0] * k
-            if s is not None:
-                a_mat[base:base + n_rows, n_unknowns:] = per_column(s)
-            base += n_rows
+        for a_i in range(l_shared):
+            for kc in range(k):
+                v = np.zeros(total_rows, dtype=np.int64)
+                for ti, s in enumerate(shared):
+                    if s is None:
+                        continue
+                    base = row_offsets[ti]
+                    v[base + kc:base + targets[ti].c.shape[0] * k:k] = s[:, a_i] % q
+                cols.append(v)
+                col_meta.append(("shared", -1, 0, a_i * k + kc))
 
+    a_mat = (
+        np.stack(cols, axis=1)
+        if cols
+        else np.zeros((total_rows, 0), dtype=np.int64)
+    )
     x = solve(a_mat, rhs, q)
     if x is None:
         return None

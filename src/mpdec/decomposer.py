@@ -13,7 +13,6 @@ decision off the summands.
 
 from __future__ import annotations
 
-import operator
 import time
 from dataclasses import dataclass, field as dataclass_field
 
@@ -25,6 +24,7 @@ from .grading import (
     GradedMatrix,
     TransformPair,
     _UnionFind,
+    leq,
     minimize,
     sort_and_batch,
 )
@@ -32,7 +32,6 @@ from .hom import (
     HomBasis,
     alpha_quotient,
     cokernel_at,
-    generator_alive_at,
     hom_pairs,
     single_generator_reps,
 )
@@ -76,17 +75,6 @@ def _support_components(bids, cols, support):
     return [(sorted(gb), sorted(gc)) for gb, gc in groups.values()]
 
 
-def _below_some(degs, low_rows, high_rows) -> bool:
-    """Whether some row of low_rows has a degree below that of some row of
-    high_rows."""
-    for i in low_rows:
-        low = degs[i]
-        for j in high_rows:
-            if all(map(operator.le, low, degs[j])):
-                return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # state
 
@@ -109,7 +97,6 @@ class Block:
 class _State:
     def __init__(self, m: GradedMatrix, use_sweep: bool, use_homset: bool):
         self.m = m
-        m.index_rows()
         self.q = m.field.q
         self.use_sweep = use_sweep
         self.use_homset = use_homset
@@ -121,12 +108,9 @@ class _State:
         self._proper_cache = {}
         self._hom_cache = {}
         self._admissible_cache = {}
-        self._dense_cache = {}
-        self._echelon_cache = {}
-        # valid for the batch degree in progress: emptied by begin_batch
+        # keyed by the batch degree too: emptied by begin_batch
         self._alpha_cache = {}
         self._cok_cache = {}
-        self._alive_cache = {}
         # blocks that received columns of the batch in progress
         self._holds_batch = set()
         self.stats = {
@@ -170,40 +154,11 @@ class _State:
                 out.add(self.row_block[i])
         return sorted(out)
 
-    def _low_positions(self, bid: int, alpha):
-        """Positions in the block's column list of the columns of degree
-        <= alpha, and that list's dense matrix over the block's rows."""
-        cols = self.proper_cols(bid)
-        if not cols:
-            return (), np.zeros((len(self.blocks[bid].rows), 0), dtype=np.int64)
-        key = (bid, self.blocks[bid].version)
-        dense = self._dense_cache.get(key)
-        if dense is None:
-            dense = self.proper_matrix(bid).to_dense()
-            self._dense_cache[key] = dense
-        degs = self.m.col_degrees
-        return tuple(a for a, c in enumerate(cols)
-                     if all(map(operator.le, degs[c], alpha))), dense
-
     def low_cols_dense(self, bid: int, alpha):
         """Dense matrix of the block's columns of degree < alpha, over its rows."""
-        pos, dense = self._low_positions(bid, alpha)
-        cols = self.blocks[bid].cols
-        return dense[:, pos], [cols[a] for a in pos]
-
-    def low_cols_echelon(self, bid: int, alpha):
-        """column_echelon of low_cols_dense (None if there are no such
-        columns), and those columns' parent ids."""
-        pos, dense = self._low_positions(bid, alpha)
-        if not pos:
-            return None, []
-        key = (bid, self.blocks[bid].version, pos)
-        ech = self._echelon_cache.get(key)
-        if ech is None:
-            ech = column_echelon(dense[:, pos], self.q)
-            self._echelon_cache[key] = ech
-        cols = self.blocks[bid].cols
-        return ech, [cols[a] for a in pos]
+        cols = [c for c in self.proper_cols(bid)
+                if leq(self.m.col_degrees[c], alpha)]
+        return self.m.dense_slice(self.blocks[bid].rows, cols), cols
 
     # -- caches -------------------------------------------------------------
 
@@ -228,50 +183,22 @@ class _State:
         key = self._pair_key(src_bid, tgt_bid)
         ok = self._admissible_cache.get(key)
         if ok is None:
-            ok = _below_some(self.m.row_degrees, self.blocks[tgt_bid].rows,
-                             self.blocks[src_bid].rows)
+            degs = self.m.row_degrees
+            ok = any(leq(degs[i], degs[j])
+                     for i in self.blocks[tgt_bid].rows
+                     for j in self.blocks[src_bid].rows)
             self._admissible_cache[key] = ok
         return ok
 
-    def admissible_sources(self, tgt_bid: int, source_bids):
-        """The blocks among source_bids, other than the target, for which
-        q_admissible holds."""
-        degs = self.m.row_degrees
-        tgt_rows = self.blocks[tgt_bid].rows
-        out = []
-        for b in source_bids:
-            if b == tgt_bid:
-                continue
-            src_rows = self.blocks[b].rows
-            # two generators: comparing them is cheaper than a cache lookup
-            if (_below_some(degs, tgt_rows, src_rows)
-                    if len(src_rows) == len(tgt_rows) == 1
-                    else self.q_admissible(b, tgt_bid)):
-                out.append(b)
-        return out
-
     def cok_at(self, bid: int, alpha):
-        key = (bid, self.blocks[bid].version)
+        key = (bid, self.blocks[bid].version, tuple(alpha))
         if key not in self._cok_cache:
             self._cok_cache[key] = cokernel_at(self.proper_matrix(bid), alpha)
         return self._cok_cache[key]
 
-    def alive_at(self, bid: int, alpha) -> bool:
-        """Whether a one-generator block has a nonzero cokernel at alpha."""
-        key = (bid, self.blocks[bid].version)
-        alive = self._alive_cache.get(key)
-        if alive is None:
-            alive = generator_alive_at(self.proper_matrix(bid), alpha)
-            self._alive_cache[key] = alive
-        return alive
-
     def alpha_reps(self, src_bid: int, tgt_bid: int, alpha):
-        """Hom^alpha representative pairs between two blocks.
-
-        alpha is the degree of the batch in progress, so the cache of the
-        representatives is keyed by the block versions alone.
-        """
-        key = self._pair_key(src_bid, tgt_bid)
+        """Hom^alpha representative pairs between two blocks."""
+        key = self._pair_key(src_bid, tgt_bid) + (tuple(alpha),)
         reps = self._alpha_cache.get(key)
         if reps is not None:
             return reps
@@ -282,9 +209,7 @@ class _State:
         elif len(src_rows) == len(tgt_rows) == 1:
             reps = single_generator_reps(
                 self.proper_matrix(src_bid), self.proper_matrix(tgt_bid),
-                alpha, lambda: self.hom_between(src_bid, tgt_bid),
-                alive=(self.alive_at(src_bid, alpha),
-                       self.alive_at(tgt_bid, alpha)))
+                alpha, lambda: self.hom_between(src_bid, tgt_bid))
         else:
             raw = self.hom_between(src_bid, tgt_bid)
             reps = alpha_quotient(
@@ -308,7 +233,6 @@ class _State:
         self._holds_batch.clear()
         self._alpha_cache.clear()
         self._cok_cache.clear()
-        self._alive_cache.clear()
 
     # -- structure updates --------------------------------------------------
 
@@ -355,7 +279,7 @@ class _State:
                         new[i] = nv
                     elif i in new:
                         del new[i]
-            self.m.set_column(p, new)
+            self.m.columns[p] = new
         self.tp.col_transform(positions, t_inv)
 
     def apply_clear(self, tgt_bid, sources):
@@ -488,9 +412,6 @@ class _Trial:
 def _collect_lam_terms(state: _State, trial: _Trial, tgt_bid, positions,
                        source_bids, alpha):
     lam_terms, lam_meta = [], []
-    if state.use_homset:
-        # the others have no Hom^alpha representative
-        source_bids = state.admissible_sources(tgt_bid, source_bids)
     for src in source_bids:
         if src == tgt_bid or not trial.slices[src].any():
             continue
@@ -529,8 +450,6 @@ def _try_clear_trial(state: _State, trial: _Trial, tgt_bid, positions,
         state, trial, tgt_bid, positions, source_bids, alpha)
     bu, u_cols = state.low_cols_dense(tgt_bid, alpha)
     col_terms = [(None, bu)] if bu.shape[1] else []
-    if not lam_terms and not col_terms:
-        return False  # nothing can change a nonzero slice
     sol = blockreduce.solve_clear(
         [blockreduce.ClearTarget(c, lam_terms, col_terms)], state.q)
     if sol is None:
@@ -659,10 +578,10 @@ def _sweep_block(state: _State, bid, cols, alpha):
     """Reduce each pending column against the echelonized low-degree columns
     of one block (column operations only)."""
     q = state.q
-    ech, u_cols = state.low_cols_echelon(bid, alpha)
-    if not u_cols:
+    bu, u_cols = state.low_cols_dense(bid, alpha)
+    if not bu.shape[1]:
         return
-    e, piv, t = ech
+    e, piv, t = column_echelon(bu, q)
     sl = state.m.dense_slice(state.blocks[bid].rows, cols)
     for jc, j in enumerate(cols):
         v = sl[:, jc]
@@ -828,7 +747,6 @@ def decompose(m: GradedMatrix, strategy: str = "exhaustive",
     t1 = time.perf_counter()
     for alpha, cols in sort_and_batch(state.m):
         _process_batch(state, alpha, cols)
-    state.m.index_rows(on=False)
     timings["reduce"] = time.perf_counter() - t1
     t2 = time.perf_counter()
     summands, signatures, flags, brows, bcols = [], [], [], [], []

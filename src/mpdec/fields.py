@@ -35,8 +35,9 @@ class FieldConfig:
             raise ValueError(f"field order must be prime, got {q}")
         self.q = q
         # inverse table; q is small in practice
-        self._inv_list = [0] + [pow(a, q - 2, q) for a in range(1, q)]
-        self._inv = np.array(self._inv_list, dtype=np.int64)
+        self._inv = np.zeros(q, dtype=np.int64)
+        for a in range(1, q):
+            self._inv[a] = pow(a, q - 2, q)
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse of a nonzero scalar."""
@@ -88,132 +89,40 @@ def column_echelon(a: np.ndarray, q: int):
         of echelon column c (nonzero columns come first), and
         echelon == a @ transform mod q.
     """
-    a = np.asarray(a, dtype=np.int64) % q
-    if not a.size:
-        return a, [], np.eye(a.shape[1], dtype=np.int64)
-    if a.size <= (_LIST_CELLS_F2 if q == 2 else _LIST_CELLS):
-        return _column_echelon_lists(a, q)
-    if q == 2:
-        return _column_echelon_f2(a)
-    return _column_echelon_modq(a, q)
-
-
-# largest matrices, in cells, on which plain Python lists beat the numpy
-# path (odd q) or the bitset path (q = 2), measured on square and thin shapes
-_LIST_CELLS = 100
-_LIST_CELLS_F2 = 36
-
-
-def _column_echelon_lists(a: np.ndarray, q: int):
-    """column_echelon on Python lists, one list per column of E and T."""
-    m, n = a.shape
-    inv = _field(q)._inv_list
-    ecols = a.T.tolist()
-    tcols = [[int(i == c) for i in range(n)] for c in range(n)]
+    fq = _field(q)
+    e = modq(np.array(a, dtype=np.int64, copy=True), q)
+    m, n = e.shape
+    t = np.eye(n, dtype=np.int64)
     pivots = []
     col = 0
     for row in range(m):
         if col >= n:
             break
-        sel = next((j for j in range(col, n) if ecols[j][row]), -1)
+        # find a column at or after `col` with a nonzero entry in this row
+        # whose entries above the row are already zero
+        sel = -1
+        for j in range(col, n):
+            if e[row, j] != 0:
+                sel = j
+                break
         if sel < 0:
             continue
         if sel != col:
-            ecols[col], ecols[sel] = ecols[sel], ecols[col]
-            tcols[col], tcols[sel] = tcols[sel], tcols[col]
-        pe, pt = ecols[col], tcols[col]
-        c = inv[pe[row]]
+            e[:, [col, sel]] = e[:, [sel, col]]
+            t[:, [col, sel]] = t[:, [sel, col]]
+        c = fq.inv(e[row, col])
         if c != 1:
-            pe[:] = [x * c % q for x in pe]
-            pt[:] = [x * c % q for x in pt]
-        for j in range(n):
-            f = ecols[j][row]
-            if f and j != col:
-                ecols[j] = [(x - f * y) % q for x, y in zip(ecols[j], pe)]
-                tcols[j] = [(x - f * y) % q for x, y in zip(tcols[j], pt)]
+            e[:, col] = (e[:, col] * c) % q
+            t[:, col] = (t[:, col] * c) % q
+        mask = e[row] != 0
+        mask[col] = False
+        if mask.any():
+            f = e[row, mask]
+            e[:, mask] = (e[:, mask] - e[:, col:col + 1] * f) % q
+            t[:, mask] = (t[:, mask] - t[:, col:col + 1] * f) % q
         pivots.append(row)
         col += 1
-    e = np.array(ecols, dtype=np.int64).reshape(n, m).T
-    t = np.array(tcols, dtype=np.int64).reshape(n, n).T
     return e, pivots, t
-
-
-def _column_echelon_modq(a: np.ndarray, q: int):
-    """column_echelon for any prime q, on int64 arrays reduced mod q."""
-    inv = _field(q)._inv
-    # work on the transposes, so that a column of E (or T) is a contiguous
-    # row; et[c] is column c of E, tt[c] column c of T
-    et = np.ascontiguousarray(a.T)
-    n, m = et.shape
-    tt = np.eye(n, dtype=np.int64)
-    pivots = []
-    col = 0
-    for row in range(m):
-        if col >= n:
-            break
-        # columns at or after `col` vanish above `row`; take the first one
-        # with a nonzero entry in this row
-        nz = np.flatnonzero(et[col:, row])
-        if not nz.size:
-            continue
-        sel = col + int(nz[0])
-        if sel != col:
-            et[[col, sel]] = et[[sel, col]]
-            tt[[col, sel]] = tt[[sel, col]]
-        c = int(inv[et[col, row]])
-        if c != 1:
-            et[col, row:] = (et[col, row:] * c) % q
-            tt[col] = (tt[col] * c) % q
-        others = np.flatnonzero(et[:, row])
-        others = others[others != col]
-        if others.size:
-            f = et[others, row:row + 1]
-            et[others, row:] = (et[others, row:] - f * et[col, row:]) % q
-            tt[others] = (tt[others] - f * tt[col]) % q
-        pivots.append(row)
-        col += 1
-    return et.T, pivots, tt.T
-
-
-def _column_echelon_f2(a: np.ndarray):
-    """column_echelon over F_2, with every column of E and of T held as one
-    Python int whose bit i is the entry in row i: a column addition is one
-    XOR."""
-    m, n = a.shape
-    packed = np.packbits(a.T.astype(np.uint8), axis=1, bitorder="little")
-    ecols = [int.from_bytes(r.tobytes(), "little") for r in packed]
-    tcols = [1 << c for c in range(n)]
-    pivots = []
-    col = 0
-    for row in range(m):
-        if col >= n:
-            break
-        bit = 1 << row
-        hits = [j for j in range(n) if ecols[j] & bit]
-        sel = next((j for j in hits if j >= col), -1)
-        if sel < 0:
-            continue
-        if sel != col:
-            ecols[col], ecols[sel] = ecols[sel], ecols[col]
-            tcols[col], tcols[sel] = tcols[sel], tcols[col]
-            hits = [col if j == sel else sel if j == col else j for j in hits]
-        pe, pt = ecols[col], tcols[col]
-        for j in hits:
-            if j != col:
-                ecols[j] ^= pe
-                tcols[j] ^= pt
-        pivots.append(row)
-        col += 1
-    return _unpack_columns(ecols, m), pivots, _unpack_columns(tcols, n)
-
-
-def _unpack_columns(cols, m: int) -> np.ndarray:
-    """The m x len(cols) int64 matrix whose column c has the bits of cols[c]."""
-    nbytes = (m + 7) // 8
-    raw = b"".join(c.to_bytes(nbytes, "little") for c in cols)
-    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(cols), nbytes)
-    bits = np.unpackbits(packed, axis=1, count=m, bitorder="little")
-    return bits.T.astype(np.int64)
 
 
 def rank(a: np.ndarray, q: int) -> int:

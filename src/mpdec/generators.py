@@ -13,8 +13,6 @@ independent of the host language's random module.
 
 from __future__ import annotations
 
-import bisect
-
 import numpy as np
 
 from .decomposer import summand_signature
@@ -135,7 +133,6 @@ def mix(m: GradedMatrix, op_count: int | None = None, seed: int = 0,
         return_transform=True; the pair maps the input to the output.
     """
     out = m.copy()
-    out.index_rows()
     q = out.field.q
     if op_count is None:
         op_count = 10 * (out.num_rows + out.num_cols)
@@ -163,34 +160,9 @@ def mix(m: GradedMatrix, op_count: int | None = None, seed: int = 0,
         except InadmissibleOperation:
             continue
         done += 1
-    out.index_rows(on=False)
     if return_transform:
         return out, tp
     return out
-
-
-class _DominanceCounter:
-    """Counts the 2-parameter degrees lying below a query degree.
-
-    A Fenwick tree over the degrees sorted by x: node i keeps the sorted y
-    values of its range, so a query visits O(log n) nodes with one bisection
-    each.
-    """
-
-    def __init__(self, degrees):
-        pts = sorted((int(g[0]), int(g[1])) for g in degrees)
-        self.xs = [x for x, _ in pts]
-        ys = [y for _, y in pts]
-        self.tree = [[]] + [sorted(ys[i - (i & -i):i])
-                            for i in range(1, len(ys) + 1)]
-
-    def __call__(self, alpha) -> int:
-        i = bisect.bisect_right(self.xs, alpha[0])
-        count = 0
-        while i:
-            count += bisect.bisect_right(self.tree[i], alpha[1])
-            i -= i & -i
-        return count
 
 
 def _relation_columns(rng: Rng, gens, n: int, p: float, q: int,
@@ -205,23 +177,19 @@ def _relation_columns(rng: Rng, gens, n: int, p: float, q: int,
 
     gx = np.array([g[0] for g in gens], dtype=np.int64)
     gy = np.array([g[1] for g in gens], dtype=np.int64)
-    count_below = _DominanceCounter(gens)
     log1p = math.log1p(-p)
     cols = []
     for _ in range(n):
         for _ in range(10 ** 4):
             alpha = degree_draw()
-            n_below = count_below(alpha)
-            below = None  # the dominated generators, listed when one is hit
+            below = np.flatnonzero((gx <= alpha[0]) & (gy <= alpha[1]))
             chosen = []
             pos = 0
-            while pos < n_below:
+            while pos < len(below):
                 u = rng.random()
                 pos += int(math.log1p(-u) / log1p) if u > 0 else 0
-                if pos >= n_below:
+                if pos >= len(below):
                     break
-                if below is None:
-                    below = np.flatnonzero((gx <= alpha[0]) & (gy <= alpha[1]))
                 chosen.append(int(below[pos]))
                 pos += 1
             if chosen:

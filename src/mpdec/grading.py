@@ -58,8 +58,6 @@ class GradedMatrix:
         if columns is None:
             columns = [{} for _ in range(self.num_cols)]
         self.columns = [dict(c) for c in columns]
-        # row -> set of columns with an entry there, once index_rows is on
-        self._row_cols = None
 
     @property
     def dim(self) -> int:
@@ -78,21 +76,10 @@ class GradedMatrix:
     def dense_slice(self, rows, cols) -> np.ndarray:
         """Dense (rows) x (cols) array over parent indices; entries in other
         rows are left out."""
+        rmap = {r: a for a, r in enumerate(rows)}
         out = np.zeros((len(rows), len(cols)), dtype=np.int64)
-        if not rows:
-            return out
-        rmap = None
         for b, j in enumerate(cols):
-            col = self.columns[j]
-            if len(col) > len(rows):
-                for a, r in enumerate(rows):
-                    v = col.get(r)
-                    if v is not None:
-                        out[a, b] = v
-                continue
-            if rmap is None:
-                rmap = {r: a for a, r in enumerate(rows)}
-            for i, v in col.items():
+            for i, v in self.columns[j].items():
                 a = rmap.get(i)
                 if a is not None:
                     out[a, b] = v
@@ -137,56 +124,21 @@ class GradedMatrix:
 
     # -- raw (unchecked) elementary operations ------------------------------
 
-    def index_rows(self, on: bool = True):
-        """Keep, from now on, the set of columns holding an entry of each
-        row, so that row_add visits those columns only (on=False drops it).
-
-        While it is kept, every change to the entries must go through
-        col_add, row_add or set_column.
-        """
-        if not on:
-            self._row_cols = None
-            return
-        self._row_cols = [set() for _ in range(self.num_rows)]
-        for j, col in enumerate(self.columns):
-            for i in col:
-                self._row_cols[i].add(j)
-
-    def set_column(self, j: int, col: dict):
-        """Replace column j by the {row: nonzero scalar} dict col."""
-        if self._row_cols is not None:
-            for i in self.columns[j]:
-                self._row_cols[i].discard(j)
-            for i in col:
-                self._row_cols[i].add(j)
-        self.columns[j] = col
-
     def col_add(self, src: int, dst: int, c: int):
         """Column dst += c * column src (no admissibility check)."""
         q = self.field.q
         dcol = self.columns[dst]
-        rc = self._row_cols
         for i, v in self.columns[src].items():
             nv = (dcol.get(i, 0) + c * v) % q
             if nv:
-                if rc is not None and i not in dcol:
-                    rc[i].add(dst)
                 dcol[i] = nv
             elif i in dcol:
                 del dcol[i]
-                if rc is not None:
-                    rc[i].discard(dst)
 
     def row_add(self, src: int, dst: int, c: int):
         """Row dst += c * row src (no admissibility check)."""
         q = self.field.q
-        rc = self._row_cols
-        if rc is None:
-            cols = self.columns
-        else:
-            touched = sorted(rc[src])
-            cols = [self.columns[j] for j in touched]
-        for col in cols:
+        for col in self.columns:
             v = col.get(src)
             if v is None:
                 continue
@@ -195,13 +147,6 @@ class GradedMatrix:
                 col[dst] = nv
             elif dst in col:
                 del col[dst]
-        if rc is not None:
-            dst_cols = rc[dst]
-            for j in touched:
-                if dst in self.columns[j]:
-                    dst_cols.add(j)
-                else:
-                    dst_cols.discard(j)
 
     def submatrix(self, rows, cols) -> "GradedMatrix":
         """Submatrix on the given parent index lists, reindexed locally."""

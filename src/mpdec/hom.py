@@ -184,7 +184,7 @@ def induced_at_alpha(qq: np.ndarray, src: GradedMatrix, tgt: GradedMatrix,
     return out
 
 
-def generator_alive_at(m: GradedMatrix, alpha) -> bool:
+def _generator_alive_at(m: GradedMatrix, alpha) -> bool:
     """Whether a one-generator presentation has a nonzero cokernel at alpha.
 
     That holds when the generator lies below alpha and no relation below
@@ -197,7 +197,7 @@ def generator_alive_at(m: GradedMatrix, alpha) -> bool:
 
 
 def single_generator_reps(src: GradedMatrix, tgt: GradedMatrix, alpha,
-                          raw_pairs, alive=None):
+                          raw_pairs):
     """Hom^alpha representatives between one-generator presentations.
 
     Both cokernels at alpha have dimension 0 or 1, so the result equals
@@ -212,12 +212,9 @@ def single_generator_reps(src: GradedMatrix, tgt: GradedMatrix, alpha,
         raw_pairs: zero-argument callable returning the raw pair basis
             (hom_pairs(src, tgt)); called only when both generators are
             alive at alpha.
-        alive: optional (source alive, target alive) at alpha, as
-            generator_alive_at returns them, when the caller knows them.
     """
-    if alive is None:
-        alive = (generator_alive_at(src, alpha), generator_alive_at(tgt, alpha))
-    if not (alive[0] and alive[1]):
+    if not (_generator_alive_at(src, alpha)
+            and _generator_alive_at(tgt, alpha)):
         return []
     q = src.field.q
     for pair in raw_pairs():

@@ -152,19 +152,6 @@ class TestHomCache:
         assert state.proper_matrix(0).num_cols == 1
 
 
-class TestAdmissibleSources:
-    def test_matches_q_admissible(self):
-        m, _ = gen_grid(40, 40, 5, 0.1, seed=1)
-        state = decomposer._State(m, True, True)
-        state.begin_batch()
-        state.merge([0, 1, 2], [])  # one three-generator block
-        state.merge([5, 9], [])
-        bids = sorted(state.blocks)
-        for tgt in bids:
-            assert state.admissible_sources(tgt, bids) == [
-                b for b in bids if b != tgt and state.q_admissible(b, tgt)]
-
-
 class TestAidaCertificates:
     """aida's certificate identity holds where batches share rows with
     columns already owned by other blocks, and its summands agree with

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpdec import fields
 from mpdec.fields import (
     FieldConfig,
     column_echelon,
@@ -145,47 +144,3 @@ class TestColumnEchelon:
         assert np.array_equal(r, matmul(t, a, 2))
         assert len(piv) == 2
 
-
-
-class TestColumnEchelonPaths:
-    """The list, bitset (F_2) and numpy (odd q) eliminations return the
-    same echelon form, pivots and transform: column_echelon picks one by
-    size, and callers depend on the exact transform."""
-
-    @staticmethod
-    def _paths(a, q):
-        a = np.asarray(a, dtype=np.int64) % q
-        out = [fields._column_echelon_lists(a, q)]
-        if q == 2:
-            out.append(fields._column_echelon_f2(a))
-        out.append(fields._column_echelon_modq(a, q))
-        return out
-
-    @settings(deadline=None, max_examples=150)
-    @given(st.integers(0, 12), st.integers(0, 12), st.sampled_from([2, 3, 5]),
-           st.integers(0, 2 ** 32 - 1), st.booleans())
-    def test_paths_agree(self, m, n, q, seed, repeat_column):
-        rng = np.random.default_rng(seed)
-        a = rng.integers(0, q, size=(m, n)) * (rng.random((m, n)) < 0.5)
-        if repeat_column and n > 1:
-            a[:, -1] = a[:, 0]
-        (e0, p0, t0), *rest = self._paths(a, q)
-        assert np.array_equal(e0, matmul(a, t0, q))
-        assert t0.shape == (n, n)
-        if n:
-            assert invert(t0, q) is not None
-        for e, p, t in rest:
-            assert p == p0
-            assert np.array_equal(e, e0) and np.array_equal(t, t0)
-            assert e.dtype == t.dtype == np.int64
-
-    @pytest.mark.parametrize("q", [2, 3])
-    def test_large_sparse_matrix(self, q):
-        rng = np.random.default_rng(q)
-        a = (rng.random((120, 100)) < 0.05) * rng.integers(1, q, size=(120, 100))
-        a[:, 7] = (a[:, 3] + a[:, 5]) % q
-        (e0, p0, t0), *rest = self._paths(a, q)
-        assert np.array_equal(e0, matmul(a, t0, q))
-        for e, p, t in rest:
-            assert p == p0
-            assert np.array_equal(e, e0) and np.array_equal(t, t0)

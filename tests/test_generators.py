@@ -1,14 +1,7 @@
 """Deterministic instance generators and admissible shuffling."""
 
 from mpdec.fields import FieldConfig
-from mpdec.generators import (
-    Rng,
-    _DominanceCounter,
-    gen_grid,
-    gen_intervals,
-    gen_random_er,
-    mix,
-)
+from mpdec.generators import Rng, gen_grid, gen_intervals, gen_random_er, mix
 from mpdec.grading import is_minimal
 
 
@@ -114,18 +107,3 @@ class TestGenGrid:
         m2, k2 = gen_grid(30, 30, 100, 0.05, seed=2)
         assert m1.equal(m2) and k1 == k2
         m1.validate()
-
-
-class TestDominanceCounter:
-    def test_matches_brute_force(self):
-        rng = Rng(11)
-        # a small grid, so that ties in either coordinate are common
-        gens = [(rng.randrange(12), rng.randrange(12)) for _ in range(200)]
-        count_below = _DominanceCounter(gens)
-        for x in range(-1, 14):
-            for y in range(-1, 14):
-                assert count_below((x, y)) == sum(
-                    1 for g in gens if g[0] <= x and g[1] <= y)
-
-    def test_empty(self):
-        assert _DominanceCounter([])((5, 5)) == 0

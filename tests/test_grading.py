@@ -190,40 +190,3 @@ class TestColumnComponents:
         m.columns[1] = {0: 1}
         comps = column_components(m, [0, 1])
         assert [sorted(c) for c in comps] == [[0, 1]]
-
-
-class TestRowIndex:
-    """With index_rows on, row_add visits only the columns the source row
-    occupies; the matrix must come out exactly as without the index."""
-
-    @pytest.mark.parametrize("q", [2, 3])
-    def test_random_operations_match_unindexed(self, q):
-        rng = np.random.default_rng(q)
-        m, _ = gen_intervals(12, seed=q, field=FieldConfig(q), mixed=True)
-        plain, indexed = m.copy(), m.copy()
-        indexed.index_rows()
-        for _ in range(400):
-            kind = rng.integers(3)
-            c = int(rng.integers(1, q))
-            if kind == 2:
-                j = int(rng.integers(m.num_cols))
-                col = {int(i): int(rng.integers(1, q))
-                       for i in rng.choice(m.num_rows, 3, replace=False)}
-                plain.columns[j] = dict(col)
-                indexed.set_column(j, dict(col))
-                continue
-            size = m.num_rows if kind == 0 else m.num_cols
-            src, dst = (int(x) for x in rng.choice(size, 2, replace=False))
-            op = "row_add" if kind == 0 else "col_add"
-            getattr(plain, op)(src, dst, c)
-            getattr(indexed, op)(src, dst, c)
-        # same entries, in the same insertion order
-        assert [list(c.items()) for c in plain.columns] == \
-            [list(c.items()) for c in indexed.columns]
-        expected = [set() for _ in range(m.num_rows)]
-        for j, col in enumerate(indexed.columns):
-            for i in col:
-                expected[i].add(j)
-        assert indexed._row_cols == expected
-        indexed.index_rows(on=False)
-        assert indexed._row_cols is None
