@@ -19,6 +19,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import blockreduce
+from .certificate import certificate_errors
 from .fields import column_echelon, invert
 from .grading import (
     GradedMatrix,
@@ -680,31 +681,10 @@ class DecompositionReport:
         return sorted(self.signatures)
 
     def verify(self) -> bool:
-        """Certificate and block-structure soundness check (dense, test use)."""
-        q = self.matrix.field.q
-        if not self.transform.verify(self.minimized_input, self.matrix):
-            return False
-        if not self.transform.check_graded(
-                self.minimized_input.row_degrees,
-                self.minimized_input.col_degrees):
-            return False
-        if invert(self.transform.q_dense(), q) is None:
-            return False
-        if invert(self.transform.pinv_dense(), q) is None:
-            return False
-        seen_rows, seen_cols = set(), set()
-        for rows, bcols in zip(self.block_rows, self.block_cols):
-            rset = set(rows)
-            for j in bcols:
-                if any(i not in rset for i in self.matrix.columns[j]):
-                    return False
-            seen_rows.update(rows)
-            seen_cols.update(bcols)
-        if seen_rows != set(range(self.matrix.num_rows)):
-            return False
-        if seen_cols != set(range(self.matrix.num_cols)):
-            return False
-        return True
+        """Sparse certificate check (mpdec.certificate)."""
+        return not certificate_errors(self.minimized_input, self.matrix,
+                                      self.transform, self.block_rows,
+                                      self.block_cols)
 
 
 STRATEGIES = ("exhaustive", "aida", "interval_auto")
@@ -724,7 +704,7 @@ def decompose(m: GradedMatrix, strategy: str = "exhaustive",
             before any clearing.
         use_homset: restrict clearing to Hom^alpha representatives
             (otherwise full Hom bases).
-        verify: run the dense certificate check before returning.
+        verify: run the certificate check before returning.
 
     Returns:
         DecompositionReport with one minimal presentation per summand.
@@ -777,6 +757,9 @@ def decompose(m: GradedMatrix, strategy: str = "exhaustive",
             all(flags) if strategy == "interval_auto" else None),
         warnings=warnings,
     )
-    if verify and not report.verify():
-        raise DecompositionError("certificate verification failed")
+    errors = verify and certificate_errors(minimized, state.m, state.tp,
+                                           brows, bcols)
+    if errors:
+        raise DecompositionError(
+            f"certificate verification failed: {errors[0]}")
     return report

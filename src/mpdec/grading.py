@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import FieldConfig, modq
+from .fields import FieldConfig
 
 Degree = tuple
 
@@ -207,9 +207,9 @@ def admissible_col_add(m: GradedMatrix, src: int, dst: int, c: int, tp=None):
 class TransformPair:
     """Accumulated invertible graded transforms (Q, Pinv).
 
-    Maintains M_current = Q . M_input . Pinv^{-1}, checked via the
-    inversion-free identity M_current . Pinv == Q . M_input. Rows of both
-    factors are stored sparsely.
+    Maintains M_current = Q . M_input . Pinv^{-1}; mpdec.certificate checks
+    the inversion-free identity M_current . Pinv == Q . M_input. Rows of
+    both factors are stored sparsely.
     """
 
     def __init__(self, m: int, n: int, field: FieldConfig):
@@ -265,20 +265,6 @@ class TransformPair:
                         del new[k]
             self.pinv_rows[p] = new
 
-    def q_dense(self) -> np.ndarray:
-        a = np.zeros((self.m, self.m), dtype=np.int64)
-        for i, row in enumerate(self.q_rows):
-            for k, v in row.items():
-                a[i, k] = v
-        return a
-
-    def pinv_dense(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.int64)
-        for i, row in enumerate(self.pinv_rows):
-            for k, v in row.items():
-                a[i, k] = v
-        return a
-
     def check_graded(self, row_degrees, col_degrees) -> bool:
         """Q graded w.r.t. (G, G) and Pinv graded w.r.t. (R, R)."""
         for i, row in enumerate(self.q_rows):
@@ -290,13 +276,6 @@ class TransformPair:
                 if not leq(col_degrees[i], col_degrees[k]):
                     return False
         return True
-
-    def verify(self, m_in: GradedMatrix, m_cur: GradedMatrix) -> bool:
-        """Check M_current . Pinv == Q . M_input exactly."""
-        q = self.field.q
-        lhs = modq(m_cur.to_dense() @ self.pinv_dense(), q)
-        rhs = modq(self.q_dense() @ m_in.to_dense(), q)
-        return bool(np.array_equal(lhs, rhs))
 
 
 def sort_and_batch(m: GradedMatrix):

@@ -2,13 +2,16 @@
 
 Every builder returns fresh objects, so tests may mutate them freely. All
 fixtures are over F_2 unless a field is passed in.
+
+The dense certificate reference at the end is what the tests compare
+mpdec.certificate against; the program itself has only the sparse check.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from mpdec.fields import FieldConfig
+from mpdec.fields import FieldConfig, invert, modq
 from mpdec.grading import GradedMatrix
 
 
@@ -169,3 +172,46 @@ def obstruction_matrix() -> GradedMatrix:
     gens = [(0, 1), (1, 1), (2, 0)]
     rels = [(2, 2), (2, 2)]
     return GradedMatrix.from_dense(dense, gens, rels, field=f2())
+
+
+def _dense(rows, size) -> np.ndarray:
+    a = np.zeros((size, size), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for k, v in row.items():
+            a[i, k] = v
+    return a
+
+
+def dense_identity_mismatch(m_in, m_cur, tp):
+    """(i, j) of the first entry, in column order, where the dense
+    M_cur . P^-1 and Q . M_in differ, or None."""
+    q = m_in.field.q
+    diff = (modq(m_cur.to_dense() @ _dense(tp.pinv_rows, m_in.num_cols), q)
+            != modq(_dense(tp.q_rows, m_in.num_rows) @ m_in.to_dense(), q))
+    bad = np.argwhere(diff.T)
+    return (int(bad[0][1]), int(bad[0][0])) if len(bad) else None
+
+
+def dense_transform_holds(m_in, m_cur, tp) -> bool:
+    """Dense reference for mpdec.certificate.transform_errors: equal
+    degrees, Q and P^-1 graded and invertible, M_cur . P^-1 == Q . M_in."""
+    q = m_in.field.q
+    return (m_cur.row_degrees == m_in.row_degrees
+            and m_cur.col_degrees == m_in.col_degrees
+            and tp.check_graded(m_in.row_degrees, m_in.col_degrees)
+            and invert(_dense(tp.q_rows, m_in.num_rows), q) is not None
+            and invert(_dense(tp.pinv_rows, m_in.num_cols), q) is not None
+            and dense_identity_mismatch(m_in, m_cur, tp) is None)
+
+
+def block_partition_holds(m, block_rows, block_cols) -> bool:
+    """Every row and column in exactly one block, and every entry of m in
+    the block of its column."""
+    row_owner = {i: b for b, rows in enumerate(block_rows) for i in rows}
+    col_owner = {j: b for b, cols in enumerate(block_cols) for j in cols}
+    return (sum(map(len, block_rows)) == len(row_owner)
+            and sum(map(len, block_cols)) == len(col_owner)
+            and set(row_owner) == set(range(m.num_rows))
+            and set(col_owner) == set(range(m.num_cols))
+            and all(row_owner[i] == col_owner[j]
+                    for j, col in enumerate(m.columns) for i in col))

@@ -123,8 +123,9 @@ class TestIntervalRecovery:
         for seed in range(20):
             m, sigs = gen_intervals(n, seed=seed, mixed=True)
             t0 = time.perf_counter()
-            report = decompose(m, strategy="interval_auto", verify=(n <= 100))
+            report = decompose(m, strategy="interval_auto")
             elapsed = time.perf_counter() - t0
+            assert report.verify()
             assert report.interval_decomposable
             assert report.num_summands == n
             assert report.signature_multiset() == sigs
@@ -250,6 +251,7 @@ class TestGridScaling:
             report = decompose(matrix, strategy="aida")
             times[m_gens] = time.perf_counter() - t0
             assert report.k_max == k_max
+            assert report.verify()
         assert times[40000] < 300.0
         for small, big in ((5000, 10000), (10000, 20000), (20000, 40000)):
             assert times[big] / times[small] <= 5.0, times

@@ -9,6 +9,7 @@ from mpdec.blockreduce import (
     apply_hom_pair,
     solve_clear,
 )
+from mpdec.certificate import transform_errors
 from mpdec.decomposer import decompose
 from mpdec.fields import matmul
 from mpdec.grading import TransformPair
@@ -118,7 +119,7 @@ class TestApplyHomPair:
         # proper blocks are bit-identical, only the pending column moved
         assert m.submatrix(b_rows, b_cols).equal(mb)
         assert m.submatrix(c_rows, c_cols).equal(mc)
-        assert tp.verify(m_in, m)
+        assert transform_errors(m_in, m, tp) == []
         assert tp.check_graded(m.row_degrees, m.col_degrees)
         m.validate()
 
@@ -127,7 +128,7 @@ class TestApplyHomPair:
         m_in = m.copy()
         tp = TransformPair(m.num_rows, m.num_cols, m.field)
         apply_col_combo(m, tp, 4, [(2, 1)])
-        assert tp.verify(m_in, m)
+        assert transform_errors(m_in, m, tp) == []
         m.validate()
 
 

@@ -8,8 +8,9 @@ from click.testing import CliRunner
 
 from fixtures import chain_digraph_matrix, clearing_fixture, staircase_pair
 from mpdec.cli import main
+from mpdec.generators import gen_intervals
 from mpdec.grading import GradedMatrix
-from mpdec.sccio import write_scc2020
+from mpdec.sccio import parse_scc2020, write_scc2020
 
 
 @pytest.fixture
@@ -177,6 +178,39 @@ class TestVerify:
         assert result.exit_code == 2
         assert "is not an integer in [0, 2)" in result.output
 
+    def _rewritten(self, runner, tmp_path, tamper):
+        """Artifacts of a mixed sum of four intervals whose certificate
+        blocks and final matrix ``tamper`` edits in place, with every
+        block's summand file rewritten to match the edited final matrix."""
+        src, outdir = self._artifacts(
+            runner, tmp_path, gen_intervals(4, seed=1, mixed=True)[0])
+        cert_path = outdir / "certificate.json"
+        cert = json.loads(cert_path.read_text())
+        final = parse_scc2020(cert["matrix"])
+        tamper(cert["blocks"], final)
+        cert["matrix"] = write_scc2020(final)
+        cert_path.write_text(json.dumps(cert))
+        for block in cert["blocks"]:
+            sub = final.submatrix(block["rows"], block["cols"])
+            (outdir / block["summand"]).write_text(write_scc2020(sub))
+        return runner.invoke(main, ["verify", src, str(outdir)])
+
+    def test_overlapping_blocks_fail(self, runner, tmp_path):
+        def tamper(blocks, final):
+            blocks[1]["rows"] += blocks[0]["rows"]
+        result = self._rewritten(runner, tmp_path, tamper)
+        assert result.exit_code == 1
+        assert "lies in two blocks" in result.output
+
+    def test_tampered_degree_fails(self, runner, tmp_path):
+        def tamper(blocks, final):
+            j = blocks[0]["cols"][0]
+            deg = final.col_degrees[j]
+            final.col_degrees[j] = (deg[0] + 5,) + deg[1:]
+        result = self._rewritten(runner, tmp_path, tamper)
+        assert result.exit_code == 1
+        assert "degrees differ" in result.output
+
     def test_final_matrix_shape_mismatch(self, runner, tmp_path):
         def tamper(cert):
             cert["matrix"] = write_scc2020(GradedMatrix([(0, 0)], []))
@@ -227,6 +261,12 @@ class TestEnumDec:
 
     def test_rejects_zero(self, runner):
         assert runner.invoke(main, ["enum-dec", "0"]).exit_code == 2
+
+    def test_composite_field_rejected(self, runner):
+        result = runner.invoke(main, ["enum-dec", "3", "--field", "4"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "field order must be prime" in result.output
 
 
 class TestHom:
@@ -285,3 +325,17 @@ class TestBench:
         assert len(payload["rows"]) == 2
         for row in payload["rows"]:
             assert row["summands"] == 10
+
+    def test_composite_field_rejected(self, runner):
+        result = runner.invoke(main, ["bench", "-n", "2", "--field", "4"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "field order must be prime" in result.output
+
+    @pytest.mark.parametrize("repeats", ["0", "-1"])
+    def test_repeats_below_one_rejected(self, runner, repeats):
+        result = runner.invoke(main, ["bench", "-n", "2", "--repeats",
+                                      repeats])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "--repeats" in result.output
