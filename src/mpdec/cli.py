@@ -130,7 +130,9 @@ def main():
               help="Prime field order q.")
 @click.option("--strategy",
               type=click.Choice(sorted(_STRATEGY_NAMES)),
-              default="exhaustive", show_default=True)
+              default="exhaustive", show_default=True,
+              help="Accepted for compatibility: every name runs the same "
+                   "path.")
 @click.option("--no-sweep", is_flag=True,
               help="Disable pre-clearing sweeps against low columns.")
 @click.option("--no-homset", is_flag=True,
@@ -212,6 +214,9 @@ def cmd_verify(original, artifact_dir, field):
         _input_error("unknown certificate schema")
     if "field" not in cert:
         _input_error(f"{cert_path}: no 'field' entry")
+    if type(cert["field"]) is not int:
+        _input_error(f"{cert_path}: 'field' entry {cert['field']!r} is not "
+                     "an integer")
     if cert["field"] != field:
         _fail_verify(f"field mismatch: certificate has F_{cert['field']}")
     fq = FieldConfig(field)
@@ -237,6 +242,9 @@ def cmd_verify(original, artifact_dir, field):
         _check_indices(cert_path, what, table, size)
         _check_scalars(cert_path, what, table, q)
     for rows, cols, name in blocks:
+        if type(name) is not str:
+            _input_error(f"{cert_path}: block summand name {name!r} is not "
+                         "a string")
         _check_indices(cert_path, f"block {name} rows", [rows], n_rows)
         _check_indices(cert_path, f"block {name} cols", [cols], n_cols)
 
@@ -334,7 +342,9 @@ _BENCH_CONFIGS = [
 @click.option("--field", type=int, default=2, show_default=True)
 @click.option("--strategy",
               type=click.Choice(sorted(_STRATEGY_NAMES)),
-              default="exhaustive", show_default=True)
+              default="exhaustive", show_default=True,
+              help="Accepted for compatibility: every name runs the same "
+                   "path.")
 @click.option("--stats", "stats_path", type=click.Path())
 def cmd_bench(kind, num, rels, prob, grid_size, instances, repeats, seed,
               field, strategy, stats_path):

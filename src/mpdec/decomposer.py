@@ -1,14 +1,14 @@
 """Batch-wise decomposition of a graded presentation into indecomposables.
 
 The main routine walks the column batches (maximal equal-degree groups) in a
-linear extension of the product order. Within a batch it first sweeps each
+linear extension of the product order, and resolves each batch on one trial
+(dense slices plus an operation log, committed once). It first sweeps each
 pending column against the reduced low-degree columns of the blocks it
 touches, then tries to zero each block's sub-batch outright, and finally
 splits each surviving (blocks, columns) connected component by subspace
 enumeration over the component's columns. Its cost is exponential only in
-k, the width of the batch, as for the paper's AIDA. Every strategy runs
-this one path; interval_auto also reads the interval-decomposability
-decision off the summands.
+k, the width of the batch, as for the paper's AIDA. Every summand also
+gets an interval flag; interval_decomposable is their conjunction.
 """
 
 from __future__ import annotations
@@ -321,8 +321,8 @@ class _State:
 
 
 # ---------------------------------------------------------------------------
-# trial framework: dense slice copies plus an operation log, committed only
-# when a subspace trial fully succeeds
+# trial framework: dense slice copies plus an operation log, committed once
+# per batch; snapshots undo the subspace trials that fail
 
 
 class _Trial:
@@ -353,15 +353,16 @@ class _Trial:
             s[:, positions] = (s[:, positions] @ t) % q
         self.log.append(("coltrans", list(positions), t.copy()))
 
-    def clear(self, tgt_bid, positions, sources, u_mat, u_cols):
+    def clear(self, tgt_bid, positions, sources, bu, u_mat, u_cols):
         """Record and simulate one clearing operation.
 
         Args:
             tgt_bid: target block.
             positions: local column positions being cleared.
             sources: list of (src_bid, Qsum, Psum).
-            u_mat: (len(u_cols), len(positions)) combination of the target's
-                low-degree columns, or None.
+            bu: dense slice of the target's low-degree columns u_cols.
+            u_mat: (len(u_cols), len(positions)) combination of those
+                columns, or None.
             u_cols: parent ids of those columns.
         """
         q = self.state.q
@@ -369,16 +370,12 @@ class _Trial:
             self.slices[tgt_bid] = (
                 self.slices[tgt_bid] + qq @ self.slices[src_bid]
             ) % q
-        if u_mat is not None and u_mat.size:
-            bu = self.state.m.dense_slice(
-                self.state.blocks[tgt_bid].rows, u_cols)
+        if u_mat is not None:
             self.slices[tgt_bid][:, positions] = (
                 self.slices[tgt_bid][:, positions] + bu @ u_mat
             ) % q
-        self.log.append(
-            ("clear", tgt_bid, list(positions), sources,
-             None if u_mat is None else u_mat.copy(), list(u_cols))
-        )
+        self.log.append(("clear", tgt_bid, list(positions), sources, u_mat,
+                         list(u_cols)))
 
     def col_ops(self, src_pos, dst_pos, s_mat):
         """Global column additions src_pos -> dst_pos on every slice."""
@@ -414,7 +411,7 @@ def _collect_lam_terms(state: _State, trial: _Trial, tgt_bid, positions,
                        source_bids, alpha):
     lam_terms, lam_meta = [], []
     for src in source_bids:
-        if src == tgt_bid or not trial.slices[src].any():
+        if not trial.slices[src].any():
             continue
         for qq, pp in state.clear_sources(src, tgt_bid, alpha):
             a = (qq @ trial.slices[src][:, positions]) % state.q
@@ -436,54 +433,32 @@ def _group_sources(lams, lam_meta, q):
     return [(src, qp[0], qp[1]) for src, qp in sorted(by_src.items())]
 
 
-def _try_clear_trial(state: _State, trial: _Trial, tgt_bid, positions,
-                     source_bids, alpha):
-    """Try to zero a target block's slice at the given column positions.
+def _try_clear(state: _State, trial: _Trial, tgt_bids, positions,
+               source_bids, alpha, s_pos=()):
+    """Try to zero the target blocks' slices at `positions` jointly.
 
-    Uses morphism-pair row additions from the given source blocks and
-    column additions from the target's own columns of degree <= alpha.
-    Returns True and records the operation on success.
+    Each target takes morphism-pair row additions from the source blocks
+    outside tgt_bids and column additions from its own columns of degree
+    <= alpha. With s_pos, one matrix of column additions from the columns
+    at s_pos (applied to every block) is shared across the targets; since
+    every source block's s_pos slice is already zero, the recorded
+    per-target clears and the single global column operation commute, so
+    they can be applied in sequence. Returns True and records the
+    operations on success.
     """
-    c = trial.slices[tgt_bid][:, positions]
-    if not c.any():
+    cs = [trial.slices[tgt][:, positions] for tgt in tgt_bids]
+    if not any(map(np.ndarray.any, cs)):
         return True
-    lam_terms, lam_meta = _collect_lam_terms(
-        state, trial, tgt_bid, positions, source_bids, alpha)
-    bu, u_cols = state.low_cols_dense(tgt_bid, alpha)
-    col_terms = [(None, bu)] if bu.shape[1] else []
-    sol = blockreduce.solve_clear(
-        [blockreduce.ClearTarget(c, lam_terms, col_terms)], state.q)
-    if sol is None:
-        return False
-    [(lams, colvals)], _ = sol
-    sources = _group_sources(lams, lam_meta, state.q)
-    u_mat = colvals[0] if col_terms else None
-    trial.clear(tgt_bid, positions, sources, u_mat, u_cols)
-    if trial.nonzero(tgt_bid, positions):
-        raise DecompositionError("solved clearing left a nonzero slice")
-    return True
-
-
-def _try_clear_joint(state: _State, trial: _Trial, tgt_bids, positions,
-                     source_bids, alpha, s_pos):
-    """Jointly zero several blocks' slices at `positions`.
-
-    Row additions come from blocks outside tgt_bids only; one matrix of
-    column additions from the columns at s_pos (applied to every block) is
-    shared across the targets. Because every source block's s_pos slice is
-    already zero, the recorded per-target clears and the single global
-    column operation commute, so they can be applied in sequence.
-    """
-    src_pool = [b for b in source_bids if b not in set(tgt_bids)]
+    tgt_set = set(tgt_bids)
+    src_pool = [b for b in source_bids if b not in tgt_set]
     targets, metas = [], []
-    for tgt in tgt_bids:
-        c = trial.slices[tgt][:, positions]
+    for tgt, c in zip(tgt_bids, cs):
         lam_terms, lam_meta = _collect_lam_terms(
             state, trial, tgt, positions, src_pool, alpha)
         bu, u_cols = state.low_cols_dense(tgt, alpha)
         col_terms = [(None, bu)] if bu.shape[1] else []
         targets.append(blockreduce.ClearTarget(c, lam_terms, col_terms))
-        metas.append((lam_meta, u_cols, bool(col_terms)))
+        metas.append((lam_meta, bu, u_cols))
     shared = None
     if len(s_pos):
         shared = [trial.slices[tgt][:, s_pos] for tgt in tgt_bids]
@@ -491,16 +466,17 @@ def _try_clear_joint(state: _State, trial: _Trial, tgt_bids, positions,
     if sol is None:
         return False
     per_target, s_val = sol
-    for tgt, (lams, colvals), (lam_meta, u_cols, has_u) in zip(
+    for tgt, (lams, colvals), (lam_meta, bu, u_cols) in zip(
             tgt_bids, per_target, metas):
         sources = _group_sources(lams, lam_meta, state.q)
-        u_mat = colvals[0] if has_u else None
-        if sources or (u_mat is not None and np.any(u_mat)):
-            trial.clear(tgt, positions, sources, u_mat, u_cols)
-    if s_val is not None and np.any(s_val):
+        u_mat = colvals[0] if bu.shape[1] else None
+        if sources or (u_mat is not None and u_mat.any()):
+            trial.clear(tgt, positions, sources, bu, u_mat, u_cols)
+    if s_val is not None and s_val.any():
         trial.col_ops(s_pos, positions, s_val)
-    if any(trial.nonzero(t, positions) for t in tgt_bids):
-        raise DecompositionError("solved joint clearing left a nonzero slice")
+    for tgt in tgt_bids:
+        if trial.nonzero(tgt, positions):
+            raise DecompositionError("solved clearing left a nonzero slice")
     return True
 
 
@@ -532,8 +508,8 @@ def _exhaustive_component(state: _State, trial: _Trial, bids, positions):
     # per-block outright clears first; a success can split the component
     cleared_any = False
     for b in sorted(bids):
-        if trial.nonzero(b, positions) and _try_clear_trial(
-                state, trial, b, positions, bids, alpha):
+        if trial.nonzero(b, positions) and _try_clear(
+                state, trial, [b], positions, bids, alpha):
             cleared_any = True
     if cleared_any:
         return _exhaustive_split(state, trial, bids, positions)
@@ -550,7 +526,7 @@ def _exhaustive_component(state: _State, trial: _Trial, bids, positions):
         pos2 = positions[l:]
         # step 1: clear each block's first-part slice where possible
         for b in sorted(bids):
-            _try_clear_trial(state, trial, b, pos1, bids, alpha)
+            _try_clear(state, trial, [b], pos1, bids, alpha)
         b1 = [b for b in sorted(bids) if trial.nonzero(b, pos1)]
         if l and not b1:
             raise DecompositionError(
@@ -561,8 +537,7 @@ def _exhaustive_component(state: _State, trial: _Trial, bids, positions):
             continue
         # step 2: jointly clear the second part on the first-part blocks,
         # with shared column additions from the first-part columns
-        if not _try_clear_joint(state, trial, b1, pos2, bids, alpha,
-                                s_pos=pos1):
+        if not _try_clear(state, trial, b1, pos2, bids, alpha, s_pos=pos1):
             trial.restore(snap)
             continue
         b2 = [b for b in bids if b not in set(b1)]
@@ -602,15 +577,10 @@ def _sweep_block(state: _State, bid, cols, alpha):
 # main routine
 
 
-def _run_exhaustive(state: _State, bids, cols, alpha):
-    trial = _Trial(state, bids, cols, alpha)
-    groups = _exhaustive_split(state, trial, bids, list(range(len(cols))))
-    trial.commit()
-    for gbids, gpos in groups:
-        state.merge(sorted(gbids), sorted(trial.cols[p] for p in gpos))
-
-
 def _process_batch(state: _State, alpha, batch_cols):
+    """Sweep, clear each block outright, split the components left, and
+    commit once: components are disjoint in rows and batch columns, so
+    committing them together equals committing them one at a time."""
     state.stats["k_max"] = max(state.stats["k_max"], len(batch_cols))
     state.begin_batch()
     cols = list(batch_cols)
@@ -619,26 +589,14 @@ def _process_batch(state: _State, alpha, batch_cols):
         for b in cand:
             _sweep_block(state, b, cols, alpha)
         cand = state.support_blocks(cols)
-    if cand:
-        # per-block outright clears before splitting into components
-        trial = _Trial(state, cand, cols, alpha)
-        allpos = list(range(len(cols)))
-        for b in cand:
-            _try_clear_trial(state, trial, b, allpos, cand, alpha)
-        trial.commit()
-    cand = state.support_blocks(cols)
-    support = [
-        np.any(state.m.dense_slice(state.blocks[b].rows, cols), axis=0)
-        for b in cand
-    ]
-    for gbids, gcols in _support_components(cand, cols, support):
-        if not gcols:
-            continue
-        if not gbids:
-            raise DecompositionError(
-                "zero batch column in a minimal presentation"
-            )
-        _run_exhaustive(state, gbids, gcols, alpha)
+    trial = _Trial(state, cand, cols, alpha)
+    allpos = list(range(len(cols)))
+    for b in cand:
+        _try_clear(state, trial, [b], allpos, cand, alpha)
+    groups = _exhaustive_split(state, trial, cand, allpos)
+    trial.commit()
+    for gbids, gpos in groups:
+        state.merge(sorted(gbids), sorted(cols[p] for p in gpos))
 
 
 def summand_signature(m: GradedMatrix):
@@ -670,7 +628,7 @@ class DecompositionReport:
     transform: TransformPair
     minimized_input: GradedMatrix
     matrix: GradedMatrix
-    interval_decomposable: object = None
+    interval_decomposable: bool
     warnings: list = dataclass_field(default_factory=list)
 
     @property
@@ -697,9 +655,9 @@ def decompose(m: GradedMatrix, strategy: str = "exhaustive",
 
     Args:
         m: graded presentation matrix (minimized automatically if needed).
-        strategy: "exhaustive" or "aida" (both run subspace enumeration
-            per component), or "interval_auto" (the same path, reporting
-            whether every summand is an interval as interval_decomposable).
+        strategy: "exhaustive", "aida" or "interval_auto". Accepted for
+            compatibility and echoed in the report: all three run the same
+            path. Any other name raises ValueError.
         use_sweep: reduce batch columns against low-degree block columns
             before any clearing.
         use_homset: restrict clearing to Hom^alpha representatives
@@ -753,8 +711,7 @@ def decompose(m: GradedMatrix, strategy: str = "exhaustive",
         transform=state.tp,
         minimized_input=minimized,
         matrix=state.m,
-        interval_decomposable=(
-            all(flags) if strategy == "interval_auto" else None),
+        interval_decomposable=all(flags),
         warnings=warnings,
     )
     errors = verify and certificate_errors(minimized, state.m, state.tp,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import column_echelon, kernel_basis, rank, solve
+from .fields import column_echelon, kernel_basis, rank
 from .grading import GradedMatrix, leq
 
 
@@ -35,11 +35,15 @@ class HomBasis:
 
 
 class AlphaHomBasis:
-    """Split of a HomBasis into alpha-surviving and alpha-vanishing parts."""
+    """Pairs of a HomBasis whose images at alpha form a basis of Hom^alpha.
 
-    def __init__(self, representatives, vanishing, dim: int):
+    Attributes:
+        representatives: list of (Q, P) pairs.
+        dim: len(representatives), that is dim Hom^alpha.
+    """
+
+    def __init__(self, representatives, dim: int):
         self.representatives = representatives
-        self.vanishing = vanishing
         self.dim = dim
 
 
@@ -225,9 +229,10 @@ def single_generator_reps(src: GradedMatrix, tgt: GradedMatrix, alpha,
 
 def alpha_quotient(hom: HomBasis, src: GradedMatrix, tgt: GradedMatrix,
                    alpha, cok_src=None, cok_tgt=None) -> AlphaHomBasis:
-    """Split a HomBasis by whether the induced map at alpha vanishes.
+    """Pick the pairs of a HomBasis whose induced maps at alpha are
+    linearly independent, greedily in basis order.
 
-    Zero-inducing pairs vanish automatically, so the surviving dimension is
+    Zero-inducing pairs vanish at alpha, so as many pairs are picked as
     dim Hom^alpha.
     """
     q = src.field.q
@@ -240,25 +245,10 @@ def alpha_quotient(hom: HomBasis, src: GradedMatrix, tgt: GradedMatrix,
         for qq, _ in hom.pairs
     ]
     reps, rep_images = [], []
-    rest = []
     for pair, img in zip(hom.pairs, images):
         if img.size and np.any(img):
             cand = np.stack(rep_images + [img]) if rep_images else img.reshape(1, -1)
             if rank(cand.T, q) > len(rep_images):
                 rep_images.append(img)
                 reps.append(pair)
-                continue
-        rest.append((pair, img))
-    # recombine the remainder so every vanishing element truly vanishes
-    vanishing = []
-    for pair, img in zip([p for p, _ in rest], [i for _, i in rest]):
-        if rep_images and img.size and np.any(img):
-            x = solve(np.stack(rep_images).T, img, q)
-            if x is None:
-                raise AssertionError("alpha image outside representative span")
-            qq = (pair[0] - sum(int(c) * rp[0] for c, rp in zip(x, reps))) % q
-            pp = (pair[1] - sum(int(c) * rp[1] for c, rp in zip(x, reps))) % q
-            vanishing.append((qq, pp))
-        else:
-            vanishing.append(pair)
-    return AlphaHomBasis(reps, vanishing, len(reps))
+    return AlphaHomBasis(reps, len(reps))

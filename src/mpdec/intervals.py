@@ -1,11 +1,12 @@
 """Interval-module detection and the combinatorial interval Hom predicate.
 
 An interval module is pointwise at most one-dimensional with connected,
-order-convex support. Its minimal presentation has a normal form: every
-relation column has a single entry, or two entries scalable to (1, -1)
-sitting at the join of the two generators it touches. check_interval
-verifies the normal form structurally and then the pointwise conditions on
-the compressed grid spanned by the block's own degrees (dimension_grid).
+order-convex support, and every internal map between comparable support
+points is nonzero. check_interval decides this from basis-free data on the
+compressed grid spanned by the block's own degrees (dimension_grid): there
+the module is constant between neighbouring grid values, and by convexity
+the maps between comparable support points compose from the maps between
+adjacent ones.
 """
 
 from __future__ import annotations
@@ -98,31 +99,63 @@ def dimension_grid(m: GradedMatrix):
     return axes, dims - ranks[inverse.ravel()].reshape(grid)
 
 
+def _thick_at_a_join(m: GradedMatrix) -> bool:
+    """Whether some join p of one or two generator degrees has at least two
+    more generators than nonzero relations below it. Then dim M(p) >= 2,
+    since rank(R_<=p) is at most the number of those relations: a reject
+    by counting alone, before any rank."""
+    gens = m.row_degrees
+    rels = [r for r, col in zip(m.col_degrees, m.columns) if col]
+    return any(
+        sum(leq(g, p) for g in gens) - sum(leq(r, p) for r in rels) >= 2
+        for p in {join(a, b) for a in gens for b in gens})
+
+
+def _adjacent_maps_nonzero(m: GradedMatrix, axes, live) -> bool:
+    """Whether M(gamma) -> M(gamma + e_a) is nonzero for every pair of
+    adjacent support points of the compressed grid.
+
+    Both spaces are one-dimensional. With S the generators of degree
+    <= gamma, T those of degree <= gamma + e_a but not <= gamma, and R the
+    relation columns of degree <= gamma + e_a, the map has rank
+    rank([R | E_S]) - rank(R) = 1 + rank(R[T, :]) - |T|. So it is nonzero
+    iff R[T, :] has full row rank, which holds trivially when T is empty.
+    T holds only generators whose a-th coordinate is that of gamma + e_a.
+    """
+    dense = m.to_dense()
+    # per axis: grid index -> generators with that coordinate; none sits
+    # at the sentinel, so no step leaves the grid
+    born_at = [{} for _ in axes]
+    for i, g in enumerate(m.row_degrees):
+        for a, (ax, x) in enumerate(zip(axes, g)):
+            born_at[a].setdefault(ax.index(x), []).append(i)
+    for idx in map(tuple, np.argwhere(live).tolist()):
+        for a, i in enumerate(idx):
+            cand = born_at[a].get(i + 1)
+            nxt = idx[:a] + (i + 1,) + idx[a + 1:]
+            if not cand or not live[nxt]:
+                continue
+            up = [ax[j] for ax, j in zip(axes, nxt)]
+            born = [g for g in cand if leq(m.row_degrees[g], up)]
+            if not born:
+                continue
+            cols = [j for j, r in enumerate(m.col_degrees) if leq(r, up)]
+            if rank(dense[np.ix_(born, cols)], m.field.q) < len(born):
+                return False
+    return True
+
+
 def check_interval(m: GradedMatrix):
     """Return an IntervalShape if m presents an interval module, else None.
 
-    Structural pass: each column has one entry, or exactly two whose values
-    are negatives of each other and whose degree is the join of the two
-    generators touched. Semantic pass on dimension_grid(m): pointwise
-    dimension <= 1, support nonempty, connected under grid adjacency, and
-    order-convex.
+    On dimension_grid(m): pointwise dimension <= 1, support nonempty,
+    order-convex and connected under grid adjacency, and every map between
+    adjacent support points nonzero. A one-generator presentation passes
+    once the dimensions are at most 1 with nonempty support.
     """
-    q = m.field.q
-    if m.num_rows == 0:
+    if m.num_rows == 0 or (m.num_rows > 1 and _thick_at_a_join(m)):
         return None
-    for j in range(m.num_cols):
-        ents = m.entries(j)
-        if len(ents) == 1:
-            continue
-        if len(ents) != 2:
-            return None
-        (i1, v1), (i2, v2) = ents
-        if (v1 + v2) % q != 0:
-            return None
-        if m.col_degrees[j] != join(m.row_degrees[i1], m.row_degrees[i2]):
-            return None
-
-    _, dims = dimension_grid(m)
+    axes, dims = dimension_grid(m)
     live = dims == 1
     if (dims > 1).any() or not live.any():
         return None
@@ -151,7 +184,9 @@ def check_interval(m: GradedMatrix):
                 if nb in support and nb not in seen:
                     seen.add(nb)
                     stack.append(nb)
-    return IntervalShape(m) if len(seen) == len(support) else None
+    if len(seen) != len(support) or not _adjacent_maps_nonzero(m, axes, live):
+        return None
+    return IntervalShape(m)
 
 
 def interval_alpha_hom(i_shape: IntervalShape, j_shape: IntervalShape, alpha) -> bool:

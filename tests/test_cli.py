@@ -127,6 +127,20 @@ class TestVerify:
         assert result.exit_code == 2
         assert "field" in result.output
 
+    def test_field_not_an_integer(self, runner, tmp_path):
+        def tamper(cert):
+            cert["field"] = "2"
+        result = self._tampered(runner, tmp_path, tamper)
+        assert result.exit_code == 2
+        assert "'field' entry '2' is not an integer" in result.output
+
+    def test_summand_name_not_a_string(self, runner, tmp_path):
+        def tamper(cert):
+            cert["blocks"][0]["summand"] = 5
+        result = self._tampered(runner, tmp_path, tamper)
+        assert result.exit_code == 2
+        assert "summand name 5 is not a string" in result.output
+
     def test_missing_summand_file(self, runner, tmp_path):
         src, outdir = self._artifacts(runner, tmp_path, chain_digraph_matrix())
         cert = json.loads((outdir / "certificate.json").read_text())

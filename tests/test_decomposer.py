@@ -173,7 +173,7 @@ class TestAidaCertificates:
 
 
 class TestIntervalDecision:
-    """interval_auto reports whether every summand is an interval."""
+    """Every report says whether every summand is an interval."""
 
     @pytest.mark.parametrize("seed", [30, 32])
     def test_interval_decomposable_grid(self, seed):
@@ -187,11 +187,11 @@ class TestIntervalDecision:
         inputs += [gen_grid(30, 30, 3, 0.1, seed=s)[0] for s in range(5)]
         decisions = set()
         for m in inputs:
-            report = decompose(m, strategy="interval_auto")
-            assert report.interval_decomposable == all(report.interval_flags)
-            decisions.add(report.interval_decomposable)
-            for s in STRATS:
-                assert decompose(m, strategy=s).interval_decomposable is None
+            for s in STRATEGIES:
+                report = decompose(m, strategy=s)
+                assert report.interval_decomposable == all(
+                    report.interval_flags)
+                decisions.add(report.interval_decomposable)
         assert decisions == {True, False}
 
 

@@ -107,17 +107,6 @@ class TestAlphaQuotient:
                     assert local.dim <= hom.dim
                     assert local.dim == len(local.representatives)
 
-    def test_vanishing_pairs_vanish(self):
-        x, y, alpha = staircase_pair()
-        hom = hom_space(x, y)
-        local = alpha_quotient(hom, x, y, alpha)
-        from mpdec.hom import induced_at_alpha
-
-        cs, ct = cokernel_at(x, alpha), cokernel_at(y, alpha)
-        for qq, _ in local.vanishing:
-            img = induced_at_alpha(qq, x, y, cs, ct)
-            assert not np.any(img)
-
 
 def random_single_generator(rng, d, q):
     """One generator and 0-3 relations above it, some of them zero."""

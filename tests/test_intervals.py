@@ -3,12 +3,13 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from fixtures import antidiagonal_batch_matrix, f2, join_pair_matrix
 from mpdec.decomposer import decompose, summand_signature
-from mpdec.fields import FieldConfig
-from mpdec.generators import gen_intervals
+from mpdec.fields import FieldConfig, rank
+from mpdec.generators import _direct_sum, gen_intervals, mix
 from mpdec.grading import GradedMatrix, join, leq
 from mpdec.intervals import check_interval, dim_at, dimension_grid
 
@@ -141,25 +142,26 @@ def _reference_grid(m):
     return axes, dims
 
 
-def _normal_form(m) -> bool:
-    """Every column has one entry, or two entries (v, -v) at the join."""
-    for j, col in enumerate(m.columns):
-        if len(col) == 1:
-            continue
-        if len(col) != 2:
-            return False
-        (i1, v1), (i2, v2) = sorted(col.items())
-        if (v1 + v2) % m.field.q or m.col_degrees[j] != join(
-                m.row_degrees[i1], m.row_degrees[i2]):
-            return False
-    return True
+def _dead_generators(m, hi, cache):
+    """Generators whose class vanishes at hi: e_g in the span of the
+    relation columns of degree <= hi. Cached by that column set."""
+    cols = tuple(j for j, r in enumerate(m.col_degrees) if leq(r, hi))
+    if cols not in cache:
+        q = m.field.q
+        r = m.to_dense()[:, list(cols)]
+        base = rank(r, q)
+        unit = np.eye(m.num_rows, dtype=np.int64)
+        cache[cols] = {g for g in range(m.num_rows)
+                       if rank(np.hstack([r, unit[:, [g]]]), q) == base}
+    return cache[cols]
 
 
 def _reference_is_interval(m) -> bool:
-    """Normal form, then the point-by-point scan: dimension <= 1, nonempty
-    support, connected under grid adjacency, and no dead point with
-    support both below and above it."""
-    if m.num_rows == 0 or not _normal_form(m):
+    """Point-by-point scan: dimension <= 1, nonempty support, connected
+    under grid adjacency, no dead point with support both below and above
+    it, and every map M(lo) -> M(hi) between comparable support points
+    nonzero (some generator below lo whose class survives at hi)."""
+    if m.num_rows == 0:
         return False
     axes, dims = _reference_grid(m)
     if max(dims.values()) > 1:
@@ -182,6 +184,14 @@ def _reference_is_interval(m) -> bool:
         if dim == 0 and any(leq(s, idx) for s in support) and any(
                 leq(idx, s) for s in support):
             return False
+    point = {idx: tuple(ax[i] for ax, i in zip(axes, idx)) for idx in support}
+    below = {idx: {g for g, d in enumerate(m.row_degrees) if leq(d, point[idx])}
+             for idx in support}
+    cache = {}
+    for hi in support:
+        dead = _dead_generators(m, point[hi], cache)
+        if any(leq(lo, hi) and below[lo] <= dead for lo in support):
+            return False
     return True
 
 
@@ -203,17 +213,15 @@ class TestDimensionGrid:
                 tuple(ref_dims[idx] for idx in points))
             expected = _reference_is_interval(m)
             assert (check_interval(m) is not None) == expected
-            decisions.add((m.num_rows == 1, _normal_form(m), expected))
-        # both decisions occur, and some normal forms fail pointwise
-        assert {(True, True, True), (False, True, True),
-                (False, True, False)} <= decisions
+            decisions.add((m.num_rows == 1, expected))
+        assert {(True, True), (False, True), (False, False)} <= decisions
 
     def test_no_degrees(self):
         m = GradedMatrix([], [], field=f2())
         assert summand_signature(m) == ((), (), ())
         assert check_interval(m) is None
 
-    # each passes the normal-form pass and must fail a pointwise condition
+    # each must fail a pointwise condition
     @pytest.mark.parametrize("gens,rels,cols", [
         # free generators at (0, 0) and (1, 1): dimension 2 at (1, 1)
         ([(0, 0), (1, 1)], [], []),
@@ -222,9 +230,77 @@ class TestDimensionGrid:
         # connected through (0, 1) ~ (1, 1), but (1, 0) is dead between
         # (0, 0) and (1, 1)
         ([(0, 0), (1, 1)], [(1, 0)], [{0: 1}]),
-    ], ids=["dimension_two", "disconnected", "not_convex"])
+        # thin, connected and convex, but the direct sum of [0, 1) and
+        # [1, 2) on the x-axis: the map from (0, 0) to (1, 0) is zero
+        ([(0, 0), (1, 0)], [(1, 0), (2, 0)], [{0: 1}, {1: 1}]),
+    ], ids=["dimension_two", "disconnected", "not_convex", "touching"])
     def test_rejected(self, gens, rels, cols):
         m = GradedMatrix(gens, rels, cols, f2())
-        assert _normal_form(m)
         assert not _reference_is_interval(m)
         assert check_interval(m) is None
+
+
+# ---------------------------------------------------------------------------
+# interval flags over odd q: the decision must not depend on the basis
+
+
+def _staircase(rng, q):
+    """A staircase interval with 1-4 corners, rows rescaled by random units.
+
+    Generators at (x_i, y_i), x ascending and y descending; a relation
+    e_i - e_{i+1} at each neighbour join (x_{i+1}, y_i); with probability
+    0.7 a cap relation e_0 above every corner.
+    """
+    k = 1 + rng.randrange(4)
+    xs = sorted(rng.sample(range(40), k))
+    ys = sorted(rng.sample(range(40), k), reverse=True)
+    rels = [(xs[i + 1], ys[i]) for i in range(k - 1)]
+    cols = [{i: 1, i + 1: q - 1} for i in range(k - 1)]
+    if rng.random() < 0.7:
+        rels.append((xs[-1] + 1 + rng.randrange(5),
+                     ys[0] + 1 + rng.randrange(5)))
+        cols.append({0: 1})
+    scale = [rng.randint(1, q - 1) for _ in range(k)]
+    cols = [{i: v * scale[i] % q for i, v in col.items()} for col in cols]
+    return GradedMatrix(list(zip(xs, ys)), rels, cols, FieldConfig(q))
+
+
+def _join_pair(rng, q):
+    """Two generators tied at a point strictly above their join: not an
+    interval (dimension 2 at the join)."""
+    x, y = rng.randrange(40), rng.randrange(40)
+    cols = [{0: rng.randint(1, q - 1), 1: rng.randint(1, q - 1)}]
+    return GradedMatrix([(x, y + 1), (x + 1, y)], [(x + 2, y + 2)], cols,
+                        FieldConfig(q))
+
+
+class TestOddFieldFlags:
+    def test_sign_repro(self):
+        # presents an interval: scaling row 1 by -1 gives {0: 1, 1: 2}
+        m = GradedMatrix([(0, 1), (1, 0)], [(1, 1)], [{0: 1, 1: 1}],
+                         FieldConfig(3))
+        assert check_interval(m) is not None
+        report = decompose(m, verify=True)
+        assert report.interval_flags == [True]
+        assert report.interval_decomposable is True
+
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_rescaled_blocks(self, q):
+        rng = random.Random(q)
+        for _ in range(40):
+            assert check_interval(_staircase(rng, q)) is not None
+            assert check_interval(_join_pair(rng, q)) is None
+
+    @pytest.mark.parametrize("q", [3, 5])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_staircase_sums(self, q, seed):
+        rng = random.Random(100 * q + seed)
+        stairs = [_staircase(rng, q) for _ in range(12)]
+        pairs = [_join_pair(rng, q) for _ in range(3)]
+        truth = sorted([(summand_signature(b), True) for b in stairs]
+                       + [(summand_signature(b), False) for b in pairs])
+        blocks = stairs + pairs
+        m = mix(_direct_sum(blocks, FieldConfig(q)), seed=seed)
+        report = decompose(m, verify=True)
+        assert sorted(zip(report.signatures, report.interval_flags)) == truth
+        assert report.interval_decomposable is False
