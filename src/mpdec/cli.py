@@ -276,6 +276,13 @@ def cmd_verify(original, artifact_dir, field):
     click.echo("verify: OK")
 
 
+def _check_num(kind, num):
+    """Exit 2 unless there is a generator to draw relations over; an empty
+    sum of intervals is fine."""
+    if num < 1 and kind != "intervals":
+        _input_error(f"--num must be >= 1 for --kind {kind}")
+
+
 def _generate_instance(kind, num, rels, prob, grid_size, seed, fq):
     if kind == "intervals":
         m, sigs = gen_intervals(num, seed=seed, field=fq)
@@ -289,19 +296,23 @@ def _generate_instance(kind, num, rels, prob, grid_size, seed, fq):
 @main.command("generate")
 @click.option("--kind", type=click.Choice(["intervals", "random-er", "grid"]),
               required=True)
-@click.option("-n", "--num", type=int, default=10, show_default=True,
-              help="Summand count (intervals) or generator count.")
-@click.option("--rels", type=int, default=10, show_default=True,
-              help="Relation count (random-er, grid).")
-@click.option("-p", "--prob", type=float, default=0.3, show_default=True,
+@click.option("-n", "--num", type=click.IntRange(min=0), default=10,
+              show_default=True,
+              help="Summand count (intervals) or generator count (>= 1).")
+@click.option("--rels", type=click.IntRange(min=0), default=10,
+              show_default=True, help="Relation count (random-er, grid).")
+@click.option("-p", "--prob", type=click.FloatRange(0, 1), default=0.3,
+              show_default=True,
               help="Per-generator inclusion probability.")
-@click.option("--grid-size", type=int, default=10, show_default=True)
+@click.option("--grid-size", type=click.IntRange(min=1), default=10,
+              show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--field", type=int, default=2, show_default=True)
 @click.option("--output", "-o", type=click.Path(), required=True)
 def cmd_generate(kind, num, rels, prob, grid_size, seed, field, output):
     """Generate a random presentation; intervals get a ground-truth sidecar."""
     fq = _field_config(field)
+    _check_num(kind, num)
     m, sigs, k_max = _generate_instance(
         kind, num, rels, prob, grid_size, seed, fq
     )
@@ -331,10 +342,14 @@ _BENCH_CONFIGS = [
 @main.command("bench")
 @click.option("--kind", type=click.Choice(["intervals", "random-er", "grid"]),
               default="intervals", show_default=True)
-@click.option("-n", "--num", type=int, default=50, show_default=True)
-@click.option("--rels", type=int, default=50, show_default=True)
-@click.option("-p", "--prob", type=float, default=0.3, show_default=True)
-@click.option("--grid-size", type=int, default=10, show_default=True)
+@click.option("-n", "--num", type=click.IntRange(min=0), default=50,
+              show_default=True)
+@click.option("--rels", type=click.IntRange(min=0), default=50,
+              show_default=True)
+@click.option("-p", "--prob", type=click.FloatRange(0, 1), default=0.3,
+              show_default=True)
+@click.option("--grid-size", type=click.IntRange(min=1), default=10,
+              show_default=True)
 @click.option("--instances", type=int, default=3, show_default=True)
 @click.option("--repeats", type=click.IntRange(min=1), default=1,
               show_default=True)
@@ -355,6 +370,7 @@ def cmd_bench(kind, num, rels, prob, grid_size, instances, repeats, seed,
     configurations.
     """
     fq = _field_config(field)
+    _check_num(kind, num)
     strat = _STRATEGY_NAMES[strategy]
     rows = []
     for idx in range(instances):

@@ -326,31 +326,43 @@ class _State:
 
 
 class _Trial:
-    def __init__(self, state: _State, bids, cols, alpha):
+    """Dense slices of the batch's blocks plus the operation log.
+
+    A subspace trial acts on one component only: blocks outside it are
+    zero at its positions, so coltrans, col_ops, snapshot and restore take
+    the component's blocks. `failed` holds the blocks whose single-target
+    clear failed since the last coltrans (_clear_block); `unreduced` the
+    blocks whose slice a clear may have left unreduced against their low
+    columns (_try_clear).
+    """
+
+    def __init__(self, state: _State, slices, cols, alpha):
         self.state = state
         self.alpha = alpha
         self.cols = list(cols)
-        self.slices = {
-            b: state.m.dense_slice(state.blocks[b].rows, self.cols)
-            for b in bids
-        }
+        self.slices = slices
         self.log = []
+        self.failed = set()
+        self.unreduced = set()
 
-    def snapshot(self):
-        return {b: s.copy() for b, s in self.slices.items()}, len(self.log)
+    def snapshot(self, bids):
+        return ({b: self.slices[b].copy() for b in bids}, len(self.log),
+                set(self.failed), set(self.unreduced))
 
     def restore(self, snap):
-        slices, n = snap
-        self.slices = {b: s.copy() for b, s in slices.items()}
+        slices, n, self.failed, self.unreduced = snap
+        self.slices.update(slices)
         del self.log[n:]
 
     def nonzero(self, bid, positions) -> bool:
         return bool(self.slices[bid][:, positions].any())
 
-    def coltrans(self, positions, t: np.ndarray):
+    def coltrans(self, bids, positions, t: np.ndarray):
         q = self.state.q
-        for s in self.slices.values():
+        for b in bids:
+            s = self.slices[b]
             s[:, positions] = (s[:, positions] @ t) % q
+        self.failed.clear()
         self.log.append(("coltrans", list(positions), t.copy()))
 
     def clear(self, tgt_bid, positions, sources, bu, u_mat, u_cols):
@@ -366,10 +378,13 @@ class _Trial:
             u_cols: parent ids of those columns.
         """
         q = self.state.q
+        partial = len(positions) < len(self.cols)
         for src_bid, qq, _ in sources:
-            self.slices[tgt_bid] = (
-                self.slices[tgt_bid] + qq @ self.slices[src_bid]
-            ) % q
+            add = qq @ self.slices[src_bid]
+            # a source entry outside `positions` lands unreduced
+            if partial and (np.delete(add, positions, axis=1) % q).any():
+                self.unreduced.add(tgt_bid)
+            self.slices[tgt_bid] = (self.slices[tgt_bid] + add) % q
         if u_mat is not None:
             self.slices[tgt_bid][:, positions] = (
                 self.slices[tgt_bid][:, positions] + bu @ u_mat
@@ -377,10 +392,11 @@ class _Trial:
         self.log.append(("clear", tgt_bid, list(positions), sources, u_mat,
                          list(u_cols)))
 
-    def col_ops(self, src_pos, dst_pos, s_mat):
-        """Global column additions src_pos -> dst_pos on every slice."""
+    def col_ops(self, bids, src_pos, dst_pos, s_mat):
+        """Column additions src_pos -> dst_pos on the slices of bids."""
         q = self.state.q
-        for s in self.slices.values():
+        for b in bids:
+            s = self.slices[b]
             s[:, dst_pos] = (s[:, dst_pos] + s[:, src_pos] @ s_mat) % q
         self.log.append(("colops", list(src_pos), list(dst_pos), s_mat.copy()))
 
@@ -445,6 +461,15 @@ def _try_clear(state: _State, trial: _Trial, tgt_bids, positions,
     per-target clears and the single global column operation commute, so
     they can be applied in sequence. Returns True and records the
     operations on success.
+
+    Without s_pos and after the sweep, a nonzero target that no source
+    reaches fails at once: the sweep leaves every slice column zero at the
+    pivot rows of the echelon form of the block's low columns (_sweep_block),
+    and a nonzero vector in the span of those columns is nonzero at some
+    pivot row, so c + bu @ U = 0 has no solution. coltrans, col_ops and
+    the column additions of a clear keep that; a clear's row additions
+    keep it only at the positions they zero, so a target they reached
+    elsewhere (trial.unreduced) is solved in full.
     """
     cs = [trial.slices[tgt][:, positions] for tgt in tgt_bids]
     if not any(map(np.ndarray.any, cs)):
@@ -455,6 +480,10 @@ def _try_clear(state: _State, trial: _Trial, tgt_bids, positions,
     for tgt, c in zip(tgt_bids, cs):
         lam_terms, lam_meta = _collect_lam_terms(
             state, trial, tgt, positions, src_pool, alpha)
+        if (state.use_sweep and not len(s_pos) and c.any()
+                and tgt not in trial.unreduced
+                and not any(a.any() for _, a in lam_terms)):
+            return False
         bu, u_cols = state.low_cols_dense(tgt, alpha)
         col_terms = [(None, bu)] if bu.shape[1] else []
         targets.append(blockreduce.ClearTarget(c, lam_terms, col_terms))
@@ -473,11 +502,29 @@ def _try_clear(state: _State, trial: _Trial, tgt_bids, positions,
         if sources or (u_mat is not None and u_mat.any()):
             trial.clear(tgt, positions, sources, bu, u_mat, u_cols)
     if s_val is not None and s_val.any():
-        trial.col_ops(s_pos, positions, s_val)
+        trial.col_ops(source_bids, s_pos, positions, s_val)
     for tgt in tgt_bids:
         if trial.nonzero(tgt, positions):
             raise DecompositionError("solved clearing left a nonzero slice")
     return True
+
+
+def _clear_block(state: _State, trial: _Trial, bid, positions, source_bids):
+    """Outright clear of one block at `positions`; no retry after a failure.
+
+    A block whose clear failed since the last coltrans is not tried again:
+    every later single-block clear of it before the next coltrans has
+    positions that cover its support and sources that are a subset of the
+    failed one's, each with its slice unchanged or zeroed there. So any
+    solution of the retry, padded with zeros, would have solved the
+    failed system.
+    """
+    if bid in trial.failed:
+        return False
+    if _try_clear(state, trial, [bid], positions, source_bids, trial.alpha):
+        return True
+    trial.failed.add(bid)
+    return False
 
 
 def _exhaustive_split(state: _State, trial: _Trial, bids, positions):
@@ -508,8 +555,8 @@ def _exhaustive_component(state: _State, trial: _Trial, bids, positions):
     # per-block outright clears first; a success can split the component
     cleared_any = False
     for b in sorted(bids):
-        if trial.nonzero(b, positions) and _try_clear(
-                state, trial, [b], positions, bids, alpha):
+        if trial.nonzero(b, positions) and _clear_block(
+                state, trial, b, positions, bids):
             cleared_any = True
     if cleared_any:
         return _exhaustive_split(state, trial, bids, positions)
@@ -519,14 +566,14 @@ def _exhaustive_component(state: _State, trial: _Trial, bids, positions):
     for t1, t2 in generate_dec(k, state.q):
         state.stats["subspace_iterations"] += 1
         l = t1.shape[1]
-        snap = trial.snapshot()
+        snap = trial.snapshot(bids)
         tfull = np.hstack([t1, t2])
-        trial.coltrans(positions, tfull)
+        trial.coltrans(bids, positions, tfull)
         pos1 = positions[:l]
         pos2 = positions[l:]
         # step 1: clear each block's first-part slice where possible
         for b in sorted(bids):
-            _try_clear(state, trial, [b], pos1, bids, alpha)
+            _clear_block(state, trial, b, pos1, bids)
         b1 = [b for b in sorted(bids) if trial.nonzero(b, pos1)]
         if l and not b1:
             raise DecompositionError(
@@ -552,13 +599,18 @@ def _exhaustive_component(state: _State, trial: _Trial, bids, positions):
 
 def _sweep_block(state: _State, bid, cols, alpha):
     """Reduce each pending column against the echelonized low-degree columns
-    of one block (column operations only)."""
+    of one block (column operations only).
+
+    Returns:
+        the block's dense slice of the reduced columns, zero at every pivot
+        row of the echelon form.
+    """
     q = state.q
+    sl = state.m.dense_slice(state.blocks[bid].rows, cols)
     bu, u_cols = state.low_cols_dense(bid, alpha)
     if not bu.shape[1]:
-        return
+        return sl
     e, piv, t = column_echelon(bu, q)
-    sl = state.m.dense_slice(state.blocks[bid].rows, cols)
     for jc, j in enumerate(cols):
         v = sl[:, jc]
         if not v.any():
@@ -569,8 +621,10 @@ def _sweep_block(state: _State, bid, cols, alpha):
                 coef = int(v[p]) % q
                 v = (v - coef * e[:, cidx]) % q
                 combo = (combo - coef * t[:, cidx]) % q
+        sl[:, jc] = v
         state.stats["sweep_ops"] += state.apply_col_solution(
             combo.reshape(-1, 1), u_cols, [j])
+    return sl
 
 
 # ---------------------------------------------------------------------------
@@ -584,15 +638,19 @@ def _process_batch(state: _State, alpha, batch_cols):
     state.stats["k_max"] = max(state.stats["k_max"], len(batch_cols))
     state.begin_batch()
     cols = list(batch_cols)
-    cand = state.support_blocks(cols)
-    if state.use_sweep:
-        for b in cand:
-            _sweep_block(state, b, cols, alpha)
-        cand = state.support_blocks(cols)
-    trial = _Trial(state, cand, cols, alpha)
+    slices = {}
+    for b in state.support_blocks(cols):
+        if state.use_sweep:
+            sl = _sweep_block(state, b, cols, alpha)
+        else:
+            sl = state.m.dense_slice(state.blocks[b].rows, cols)
+        if sl.any():
+            slices[b] = sl
+    trial = _Trial(state, slices, cols, alpha)
+    cand = list(slices)
     allpos = list(range(len(cols)))
     for b in cand:
-        _try_clear(state, trial, [b], allpos, cand, alpha)
+        _clear_block(state, trial, b, allpos, cand)
     groups = _exhaustive_split(state, trial, cand, allpos)
     trial.commit()
     for gbids, gpos in groups:

@@ -150,19 +150,25 @@ def check_interval(m: GradedMatrix):
 
     On dimension_grid(m): pointwise dimension <= 1, support nonempty,
     order-convex and connected under grid adjacency, and every map between
-    adjacent support points nonzero. A one-generator presentation passes
-    once the dimensions are at most 1 with nonempty support.
+    adjacent support points nonzero. A one-generator presentation needs no
+    grid: its support is upset(g) minus the upsets of the nonzero columns,
+    which is order-convex, connected (every point between g and a support
+    point lies in it) and nonempty unless some nonzero column has degree
+    <= g.
     """
-    if m.num_rows == 0 or (m.num_rows > 1 and _thick_at_a_join(m)):
+    if m.num_rows == 0:
+        return None
+    if m.num_rows == 1:
+        g = m.row_degrees[0]
+        if any(col and leq(r, g) for r, col in zip(m.col_degrees, m.columns)):
+            return None
+        return IntervalShape(m)
+    if _thick_at_a_join(m):
         return None
     axes, dims = dimension_grid(m)
     live = dims == 1
     if (dims > 1).any() or not live.any():
         return None
-    if m.num_rows == 1:
-        # upset(g) minus the relations' upsets is order-convex, and connected
-        # since every point between g and a support point lies in it
-        return IntervalShape(m)
     # order convexity: no dead point both above and below the support
     up, down = live, live
     for a in range(live.ndim):

@@ -265,6 +265,25 @@ class TestGenerate:
         ])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("args, option", [
+        (["--kind", "grid", "--num", "-3"], "--num"),
+        (["--kind", "grid", "--num", "0"], "--num"),
+        (["--kind", "random-er", "--num", "0"], "--num"),
+        (["--kind", "intervals", "--num", "-1"], "--num"),
+        (["--kind", "grid", "--rels", "-1"], "--rels"),
+        (["--kind", "grid", "--prob", "2"], "--prob"),
+        (["--kind", "random-er", "--prob", "-0.5"], "--prob"),
+        (["--kind", "grid", "--grid-size", "0"], "--grid-size"),
+    ])
+    @pytest.mark.parametrize("command", ["generate", "bench"])
+    def test_bad_value_rejected(self, runner, tmp_path, command, args,
+                                option):
+        out = ["-o", str(tmp_path / "x")] if command == "generate" else []
+        result = runner.invoke(main, [command] + args + out)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert option in result.output
+
 
 class TestEnumDec:
     def test_counts(self, runner):

@@ -211,3 +211,102 @@ class TestSignatures:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
             decompose(join_pair_matrix(), strategy="nope")
+
+
+def _pruning_corpus():
+    """Seeded subspace-enumeration grids over F_2 and F_3, and mixed
+    interval sums.
+
+    The last grid has a subspace trial whose first-part clear adds source
+    rows into a block's second-part columns, where the block's own
+    lower-degree columns then clear them: pruning that clear as if the
+    block were still swept loses a summand (25 instead of 26).
+    """
+    out = []
+    for seed in range(16):
+        q = 2 if seed % 2 == 0 else 3
+        out.append(gen_grid(60, 40, 6, 0.1, seed, field=FieldConfig(q))[0])
+    for seed in range(2):
+        out.append(gen_intervals(60, seed, mixed=True)[0])
+    out.append(gen_grid(40, 40, 3, 0.08, 41, field=FieldConfig(3))[0])
+    return out
+
+
+class TestClearPruning:
+    """A clear the sweep rules out fails before any solve, and a failed
+    single-block clear is not tried again before the next column transform.
+    Both are exact: the summands do not change."""
+
+    def test_no_solve_for_an_unreached_swept_target(self, monkeypatch):
+        current, solves, pruned = [], [], []
+        try_clear = decomposer._try_clear
+        solve_clear = decomposer.blockreduce.solve_clear
+
+        def tracked_try_clear(state, trial, tgt_bids, *args, **kwargs):
+            current.append((trial, tgt_bids))
+            before = len(solves)
+            try:
+                ok = try_clear(state, trial, tgt_bids, *args, **kwargs)
+            finally:
+                current.pop()
+            if not ok and len(solves) == before:
+                pruned.append(tgt_bids)
+            return ok
+
+        def tracked_solve_clear(targets, q, shared=None):
+            trial, tgt_bids = current[-1]
+            solves.append(tgt_bids)
+            if (len(targets) == 1 and shared is None and targets[0].c.any()
+                    and not any(a.any() for _, a in targets[0].lam_terms)):
+                # only where a clear's row additions reached the target
+                # outside the positions they zeroed
+                assert tgt_bids[0] in trial.unreduced
+            return solve_clear(targets, q, shared=shared)
+
+        monkeypatch.setattr(decomposer, "_try_clear", tracked_try_clear)
+        monkeypatch.setattr(decomposer.blockreduce, "solve_clear",
+                            tracked_solve_clear)
+        for m in _pruning_corpus():
+            decompose(m)
+        assert pruned
+
+    def test_failed_block_not_retried_before_coltrans(self, monkeypatch):
+        failed, skipped = {}, []
+        try_clear = decomposer._try_clear
+        coltrans = decomposer._Trial.coltrans
+        clear_block = decomposer._clear_block
+
+        def tracked_try_clear(state, trial, tgt_bids, positions,
+                              source_bids, alpha, s_pos=()):
+            single = len(tgt_bids) == 1 and not len(s_pos)
+            if single:
+                assert tgt_bids[0] not in failed.get(trial, set())
+            ok = try_clear(state, trial, tgt_bids, positions, source_bids,
+                           alpha, s_pos)
+            if single and not ok:
+                failed.setdefault(trial, set()).add(tgt_bids[0])
+            return ok
+
+        def tracked_coltrans(trial, *args):
+            failed.pop(trial, None)
+            return coltrans(trial, *args)
+
+        def tracked_clear_block(state, trial, bid, *args):
+            if bid in failed.get(trial, set()):
+                skipped.append(bid)
+            return clear_block(state, trial, bid, *args)
+
+        monkeypatch.setattr(decomposer, "_try_clear", tracked_try_clear)
+        monkeypatch.setattr(decomposer._Trial, "coltrans", tracked_coltrans)
+        monkeypatch.setattr(decomposer, "_clear_block", tracked_clear_block)
+        for m in _pruning_corpus():
+            decompose(m)
+        assert skipped
+
+    def test_outputs_agree_without_the_sweep(self):
+        for m in _pruning_corpus():
+            default = decompose(m.copy())
+            unswept = decompose(m.copy(), use_sweep=False)
+            assert unswept.verify()
+            assert (unswept.signature_multiset()
+                    == default.signature_multiset())

@@ -64,6 +64,34 @@ class TestCheckInterval:
         m.columns[0] = {0: 1, 1: 1, 2: 1}
         assert check_interval(m) is None
 
+    def test_one_generator_killed_at_its_degree(self):
+        m = GradedMatrix([(1, 2)], [(1, 2), (3, 3)], field=f2())
+        m.columns[0] = {0: 1}
+        m.columns[1] = {0: 1}
+        assert check_interval(m) is None
+
+    def test_one_generator_zero_column_at_its_degree(self):
+        m = GradedMatrix([(1, 2)], [(1, 2), (3, 3)], field=f2())
+        m.columns[1] = {0: 1}
+        shape = check_interval(m)
+        assert shape is not None
+        assert shape.contains((1, 2)) and shape.contains((2, 5))
+        assert not shape.contains((3, 3))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_generator_matches_the_grid(self, seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            rels = [(rng.randrange(4), rng.randrange(4))
+                    for _ in range(rng.randrange(4))]
+            m = GradedMatrix([(rng.randrange(4), rng.randrange(4))], rels,
+                             field=f2())
+            for j in range(len(rels)):
+                if rng.random() < 0.6:
+                    m.columns[j] = {0: 1}
+            _, dims = dimension_grid(m)
+            assert (check_interval(m) is not None) == bool((dims == 1).any())
+
     def test_generated_intervals_detected(self):
         m, _ = gen_intervals(30, seed=3, mixed=False)
         report = decompose(m, strategy="interval_auto")
