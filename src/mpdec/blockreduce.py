@@ -5,8 +5,8 @@ zeroed by (a) row additions from other blocks, encoded through morphism
 pairs (Q, P) so the rest of the matrix is preserved, (b) column additions
 from the target block's own columns of degree <= alpha, and (c) column
 additions from designated same-degree columns? The unknowns are one scalar
-per morphism basis element, one combination matrix per column source, and
-optionally a matrix shared across several target blocks.
+per morphism basis element, one combination matrix of the target's own
+columns, and optionally a matrix shared across several target blocks.
 """
 
 from __future__ import annotations
@@ -22,100 +22,69 @@ class ClearTarget:
 
     Attributes:
         c: the slice to zero, shape (rows, k).
-        lam_terms: list of (tag, A) with A of shape (rows, k); each carries
-            one scalar unknown (tag identifies the morphism pair behind it).
-        col_terms: list of (tag, B) with B of shape (rows, f); each carries
-            a matrix unknown of shape (f, k) (tag identifies the column
-            source behind it).
+        lam_terms: matrices A of shape (rows, k), one per morphism pair;
+            each carries one scalar unknown.
+        low: the target's columns of degree <= alpha, shape (rows, f); they
+            carry one (f, k) matrix unknown.
     """
 
-    def __init__(self, c: np.ndarray, lam_terms=None, col_terms=None):
-        self.c = np.asarray(c, dtype=np.int64)
-        self.lam_terms = list(lam_terms or [])
-        self.col_terms = list(col_terms or [])
+    def __init__(self, c: np.ndarray, lam_terms, low: np.ndarray):
+        self.c = c
+        self.lam_terms = lam_terms
+        self.low = low
+
+
+def _put_kron_eye(dst: np.ndarray, b: np.ndarray, k: int):
+    """Write kron(b, I_k) into the zero block dst (np.kron is slow on the
+    small matrices of a clear)."""
+    for kc in range(k):
+        dst[kc::k, kc::k] = b
 
 
 def solve_clear(targets, q: int, shared=None):
     """Solve the joint clearing system for one or more targets.
 
+    Target t asks for c_t + sum_i lam_i A_i + low_t U_t + s_t S = 0, the
+    last term only with `shared`. Flattened row-major, B @ U is
+    kron(B, I_k) @ vec(U), so the unknowns are, per target in turn, its
+    lam_i and vec(U_t), then vec(S) shared by all targets.
+
     Args:
         targets: list of ClearTarget, all with the same column count k.
         q: field order.
-        shared: optional list of (rows_i, l) matrices, one per target, whose
-            single (l, k) unknown is shared across all targets; entries may
-            be None for targets the shared source cannot reach.
+        shared: None, or one (rows_t, l) matrix s_t per target whose single
+            (l, k) unknown S is shared across all targets.
 
     Returns:
         None if unsolvable, else a list of per-target solutions
-        (lam_values, col_values) plus the shared matrix as the last element:
-        ([(lams, cols), ...], s_matrix_or_None).
+        (lam_values, U) plus the shared matrix as the last element:
+        ([(lams, U), ...], S_or_None).
     """
-    if not targets:
-        return [], None
     k = targets[0].c.shape[1]
-    cols = []  # (vectors stacked over all targets)
-    rhs_parts = []
-    row_offsets = []
-    total_rows = 0
-    for t in targets:
-        row_offsets.append(total_rows)
-        total_rows += t.c.shape[0] * k
-        rhs_parts.append((-t.c % q).ravel())
-    rhs = np.concatenate(rhs_parts) if rhs_parts else np.zeros(0, dtype=np.int64)
-
-    col_meta = []  # (kind, target_idx, term_idx, sub_idx)
-    for ti, t in enumerate(targets):
-        base = row_offsets[ti]
-        for li, (_, a) in enumerate(t.lam_terms):
-            v = np.zeros(total_rows, dtype=np.int64)
-            v[base:base + a.shape[0] * k] = a.ravel() % q
-            cols.append(v)
-            col_meta.append(("lam", ti, li, 0))
-        for ci, (_, b) in enumerate(t.col_terms):
-            f = b.shape[1]
-            for a_i in range(f):
-                for kc in range(k):
-                    v = np.zeros(total_rows, dtype=np.int64)
-                    v[base + kc:base + t.c.shape[0] * k:k] = b[:, a_i] % q
-                    cols.append(v)
-                    col_meta.append(("col", ti, ci, a_i * k + kc))
-    l_shared = 0
-    if shared is not None:
-        l_shared = next(s.shape[1] for s in shared if s is not None)
-        for a_i in range(l_shared):
-            for kc in range(k):
-                v = np.zeros(total_rows, dtype=np.int64)
-                for ti, s in enumerate(shared):
-                    if s is None:
-                        continue
-                    base = row_offsets[ti]
-                    v[base + kc:base + targets[ti].c.shape[0] * k:k] = s[:, a_i] % q
-                cols.append(v)
-                col_meta.append(("shared", -1, 0, a_i * k + kc))
-
-    a_mat = (
-        np.stack(cols, axis=1)
-        if cols
-        else np.zeros((total_rows, 0), dtype=np.int64)
-    )
-    x = solve(a_mat, rhs, q)
+    widths = [len(t.lam_terms) + t.low.shape[1] * k for t in targets]
+    n_shared = 0 if shared is None else shared[0].shape[1] * k
+    a_mat = np.zeros((sum(t.c.size for t in targets),
+                      sum(widths) + n_shared), dtype=np.int64)
+    r0 = c0 = 0
+    for ti, (t, width) in enumerate(zip(targets, widths)):
+        r1, n = r0 + t.c.size, len(t.lam_terms)
+        for li, a in enumerate(t.lam_terms):
+            a_mat[r0:r1, c0 + li] = a.ravel()
+        _put_kron_eye(a_mat[r0:r1, c0 + n:c0 + width], t.low, k)
+        if shared is not None:
+            _put_kron_eye(a_mat[r0:r1, a_mat.shape[1] - n_shared:],
+                          shared[ti], k)
+        r0, c0 = r1, c0 + width
+    x = solve(a_mat, -np.concatenate([t.c.ravel() for t in targets]), q)
     if x is None:
         return None
-
     out = []
-    for ti, t in enumerate(targets):
-        lams = np.zeros(len(t.lam_terms), dtype=np.int64)
-        colvals = [np.zeros((b.shape[1], k), dtype=np.int64) for _, b in t.col_terms]
-        out.append((lams, colvals))
-    s_val = np.zeros((l_shared, k), dtype=np.int64) if shared is not None else None
-    for v, (kind, ti, term, sub) in zip(x, col_meta):
-        if kind == "lam":
-            out[ti][0][term] = v
-        elif kind == "col":
-            out[ti][1][term][sub // k, sub % k] = v
-        else:
-            s_val[sub // k, sub % k] = v
-    return out, s_val
+    c0 = 0
+    for t, width in zip(targets, widths):
+        n = len(t.lam_terms)
+        out.append((x[c0:c0 + n], x[c0 + n:c0 + width].reshape(-1, k)))
+        c0 += width
+    return out, (None if shared is None else x[c0:].reshape(-1, k))
 
 
 def apply_hom_pair(m: GradedMatrix, tp: TransformPair, tgt_rows, tgt_cols,

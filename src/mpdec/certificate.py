@@ -9,6 +9,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .fields import rank
+from .grading import sparse_combination
 
 
 def _columns(rows, size):
@@ -17,15 +18,6 @@ def _columns(rows, size):
         for k, v in row.items():
             cols[k][i] = v
     return cols
-
-
-def _combination(coefs, vectors, q):
-    """Sparse sum of coef * vectors[idx] over idx -> coef, mod q."""
-    out = {}
-    for idx, coef in coefs.items():
-        for r, v in vectors[idx].items():
-            out[r] = (out.get(r, 0) + coef * v) % q
-    return {r: v for r, v in out.items() if v}
 
 
 def _invertible(rows, degrees, q):
@@ -58,8 +50,8 @@ def transform_errors(m_in, m_cur, tp):
         errors.append("transform is not invertible")
     q_cols = _columns(tp.q_rows, len(rdeg))
     for k, pinv_col in enumerate(_columns(tp.pinv_rows, len(cdeg))):
-        lhs = _combination(pinv_col, m_cur.columns, q)
-        rhs = _combination(m_in.columns[k], q_cols, q)
+        lhs = sparse_combination(pinv_col, m_cur.columns, q)
+        rhs = sparse_combination(m_in.columns[k], q_cols, q)
         if lhs != rhs:
             i = min(lhs.items() ^ rhs.items())[0]
             errors.append(f"transform identity fails at ({i}, {k})")

@@ -4,11 +4,12 @@ The main routine walks the column batches (maximal equal-degree groups) in a
 linear extension of the product order, and resolves each batch on one trial
 (dense slices plus an operation log, committed once). It first sweeps each
 pending column against the reduced low-degree columns of the blocks it
-touches, then tries to zero each block's sub-batch outright, and finally
-splits each surviving (blocks, columns) connected component by subspace
-enumeration over the component's columns. Its cost is exponential only in
-k, the width of the batch, as for the paper's AIDA. Every summand also
-gets an interval flag; interval_decomposable is their conjunction.
+touches, then resolves each connected (blocks, columns) component on its
+own, as the paper's AIDA does: it tries to zero each block's sub-batch
+outright with sources from the component, and splits what survives by
+subspace enumeration over the component's columns. Its cost is exponential
+only in k, the width of the batch. Every summand also gets an interval
+flag; interval_decomposable is their conjunction.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .grading import (
     leq,
     minimize,
     sort_and_batch,
+    sparse_combination,
 )
 from .hom import (
     HomBasis,
@@ -267,20 +269,10 @@ class _State:
         t_inv = invert(t, q)
         if t_inv is None:
             raise DecompositionError("batch column transform not invertible")
-        old = [dict(self.m.columns[p]) for p in positions]
+        old = [self.m.columns[p] for p in positions]
         for jc, p in enumerate(positions):
-            new = {}
-            for ic in range(len(positions)):
-                c = int(t[ic, jc])
-                if c == 0:
-                    continue
-                for i, v in old[ic].items():
-                    nv = (new.get(i, 0) + c * v) % q
-                    if nv:
-                        new[i] = nv
-                    elif i in new:
-                        del new[i]
-            self.m.columns[p] = new
+            self.m.columns[p] = sparse_combination(
+                {ic: int(c) for ic, c in enumerate(t[:, jc]) if c}, old, q)
         self.tp.col_transform(positions, t_inv)
 
     def apply_clear(self, tgt_bid, sources):
@@ -330,17 +322,19 @@ class _Trial:
 
     A subspace trial acts on one component only: blocks outside it are
     zero at its positions, so coltrans, col_ops, snapshot and restore take
-    the component's blocks. `failed` holds the blocks whose single-target
-    clear failed since the last coltrans (_clear_block); `unreduced` the
-    blocks whose slice a clear may have left unreduced against their low
-    columns (_try_clear).
+    the component's blocks. `low` maps each block the batch touches to its
+    low_cols_dense, built once: no low column changes before the commit.
+    `failed` holds the blocks whose single-target clear failed since the
+    last coltrans (_clear_block); `unreduced` the blocks whose slice a
+    clear may have left unreduced against their low columns (_try_clear).
     """
 
-    def __init__(self, state: _State, slices, cols, alpha):
+    def __init__(self, state: _State, slices, low, cols, alpha):
         self.state = state
         self.alpha = alpha
         self.cols = list(cols)
         self.slices = slices
+        self.low = low
         self.log = []
         self.failed = set()
         self.unreduced = set()
@@ -365,17 +359,15 @@ class _Trial:
         self.failed.clear()
         self.log.append(("coltrans", list(positions), t.copy()))
 
-    def clear(self, tgt_bid, positions, sources, bu, u_mat, u_cols):
+    def clear(self, tgt_bid, positions, sources, u_mat):
         """Record and simulate one clearing operation.
 
         Args:
             tgt_bid: target block.
             positions: local column positions being cleared.
             sources: list of (src_bid, Qsum, Psum).
-            bu: dense slice of the target's low-degree columns u_cols.
-            u_mat: (len(u_cols), len(positions)) combination of those
-                columns, or None.
-            u_cols: parent ids of those columns.
+            u_mat: (f, len(positions)) combination of the target's f
+                low-degree columns (self.low).
         """
         q = self.state.q
         partial = len(positions) < len(self.cols)
@@ -385,12 +377,10 @@ class _Trial:
             if partial and (np.delete(add, positions, axis=1) % q).any():
                 self.unreduced.add(tgt_bid)
             self.slices[tgt_bid] = (self.slices[tgt_bid] + add) % q
-        if u_mat is not None:
-            self.slices[tgt_bid][:, positions] = (
-                self.slices[tgt_bid][:, positions] + bu @ u_mat
-            ) % q
-        self.log.append(("clear", tgt_bid, list(positions), sources, u_mat,
-                         list(u_cols)))
+        self.slices[tgt_bid][:, positions] = (
+            self.slices[tgt_bid][:, positions] + self.low[tgt_bid][0] @ u_mat
+        ) % q
+        self.log.append(("clear", tgt_bid, list(positions), sources, u_mat))
 
     def col_ops(self, bids, src_pos, dst_pos, s_mat):
         """Column additions src_pos -> dst_pos on the slices of bids."""
@@ -411,11 +401,10 @@ class _Trial:
                 st.apply_col_solution(s_mat, [self.cols[p] for p in src_pos],
                                       [self.cols[p] for p in dst_pos])
             else:
-                _, tgt_bid, positions, sources, u_mat, u_cols = op
+                _, tgt_bid, positions, sources, u_mat = op
                 st.apply_clear(tgt_bid, sources)
-                if u_mat is not None:
-                    st.apply_col_solution(u_mat, u_cols,
-                                          [self.cols[p] for p in positions])
+                st.apply_col_solution(u_mat, self.low[tgt_bid][1],
+                                      [self.cols[p] for p in positions])
         self.log = []
 
 
@@ -430,8 +419,7 @@ def _collect_lam_terms(state: _State, trial: _Trial, tgt_bid, positions,
         if not trial.slices[src].any():
             continue
         for qq, pp in state.clear_sources(src, tgt_bid, alpha):
-            a = (qq @ trial.slices[src][:, positions]) % state.q
-            lam_terms.append((None, a))
+            lam_terms.append((qq @ trial.slices[src][:, positions]) % state.q)
             lam_meta.append((src, qq, pp))
     return lam_terms, lam_meta
 
@@ -482,12 +470,11 @@ def _try_clear(state: _State, trial: _Trial, tgt_bids, positions,
             state, trial, tgt, positions, src_pool, alpha)
         if (state.use_sweep and not len(s_pos) and c.any()
                 and tgt not in trial.unreduced
-                and not any(a.any() for _, a in lam_terms)):
+                and not any(a.any() for a in lam_terms)):
             return False
-        bu, u_cols = state.low_cols_dense(tgt, alpha)
-        col_terms = [(None, bu)] if bu.shape[1] else []
-        targets.append(blockreduce.ClearTarget(c, lam_terms, col_terms))
-        metas.append((lam_meta, bu, u_cols))
+        targets.append(
+            blockreduce.ClearTarget(c, lam_terms, trial.low[tgt][0]))
+        metas.append(lam_meta)
     shared = None
     if len(s_pos):
         shared = [trial.slices[tgt][:, s_pos] for tgt in tgt_bids]
@@ -495,12 +482,10 @@ def _try_clear(state: _State, trial: _Trial, tgt_bids, positions,
     if sol is None:
         return False
     per_target, s_val = sol
-    for tgt, (lams, colvals), (lam_meta, bu, u_cols) in zip(
-            tgt_bids, per_target, metas):
+    for tgt, (lams, u_mat), lam_meta in zip(tgt_bids, per_target, metas):
         sources = _group_sources(lams, lam_meta, state.q)
-        u_mat = colvals[0] if bu.shape[1] else None
-        if sources or (u_mat is not None and u_mat.any()):
-            trial.clear(tgt, positions, sources, bu, u_mat, u_cols)
+        if sources or u_mat.any():
+            trial.clear(tgt, positions, sources, u_mat)
     if s_val is not None and s_val.any():
         trial.col_ops(source_bids, s_pos, positions, s_val)
     for tgt in tgt_bids:
@@ -597,19 +582,16 @@ def _exhaustive_component(state: _State, trial: _Trial, bids, positions):
 # sweep
 
 
-def _sweep_block(state: _State, bid, cols, alpha):
+def _sweep_block(state: _State, sl, cols, bu, u_cols):
     """Reduce each pending column against the echelonized low-degree columns
-    of one block (column operations only).
+    bu (parent ids u_cols) of one block, by column operations only.
 
-    Returns:
-        the block's dense slice of the reduced columns, zero at every pivot
-        row of the echelon form.
+    The block's dense slice sl of the pending columns is reduced in place:
+    afterwards it is zero at every pivot row of the echelon form.
     """
     q = state.q
-    sl = state.m.dense_slice(state.blocks[bid].rows, cols)
-    bu, u_cols = state.low_cols_dense(bid, alpha)
     if not bu.shape[1]:
-        return sl
+        return
     e, piv, t = column_echelon(bu, q)
     for jc, j in enumerate(cols):
         v = sl[:, jc]
@@ -624,7 +606,6 @@ def _sweep_block(state: _State, bid, cols, alpha):
         sl[:, jc] = v
         state.stats["sweep_ops"] += state.apply_col_solution(
             combo.reshape(-1, 1), u_cols, [j])
-    return sl
 
 
 # ---------------------------------------------------------------------------
@@ -632,26 +613,30 @@ def _sweep_block(state: _State, bid, cols, alpha):
 
 
 def _process_batch(state: _State, alpha, batch_cols):
-    """Sweep, clear each block outright, split the components left, and
-    commit once: components are disjoint in rows and batch columns, so
-    committing them together equals committing them one at a time."""
+    """Sweep, resolve each (blocks, columns) component on its own
+    (_exhaustive_split), and commit once.
+
+    Each clear draws its sources from the target's own component. That is
+    exact: a source outside it is zero on the component's columns, so the
+    system splits into one part per component. Components are disjoint in
+    rows and batch columns, so committing them together equals committing
+    them one at a time.
+    """
     state.stats["k_max"] = max(state.stats["k_max"], len(batch_cols))
     state.begin_batch()
     cols = list(batch_cols)
+    low = {b: state.low_cols_dense(b, alpha)
+           for b in state.support_blocks(cols)}
     slices = {}
-    for b in state.support_blocks(cols):
+    for b, (bu, u_cols) in low.items():
+        sl = state.m.dense_slice(state.blocks[b].rows, cols)
         if state.use_sweep:
-            sl = _sweep_block(state, b, cols, alpha)
-        else:
-            sl = state.m.dense_slice(state.blocks[b].rows, cols)
+            _sweep_block(state, sl, cols, bu, u_cols)
         if sl.any():
             slices[b] = sl
-    trial = _Trial(state, slices, cols, alpha)
-    cand = list(slices)
-    allpos = list(range(len(cols)))
-    for b in cand:
-        _clear_block(state, trial, b, allpos, cand)
-    groups = _exhaustive_split(state, trial, cand, allpos)
+    trial = _Trial(state, slices, low, cols, alpha)
+    groups = _exhaustive_split(state, trial, list(slices),
+                               list(range(len(cols))))
     trial.commit()
     for gbids, gpos in groups:
         state.merge(sorted(gbids), sorted(cols[p] for p in gpos))
@@ -751,7 +736,7 @@ def decompose(m: GradedMatrix, strategy: str = "exhaustive",
         sub = state.m.submatrix(blk.rows, blk.cols)
         summands.append(sub)
         signatures.append(summand_signature(sub))
-        flags.append(check_interval(sub) is not None)
+        flags.append(check_interval(sub, dims=signatures[-1][2]) is not None)
         brows.append(list(blk.rows))
         bcols.append(list(blk.cols))
     timings["signatures"] = time.perf_counter() - t2

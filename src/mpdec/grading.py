@@ -204,6 +204,16 @@ def admissible_col_add(m: GradedMatrix, src: int, dst: int, c: int, tp=None):
         tp.col_add(src, dst, c)
 
 
+def sparse_combination(coefs, vectors, q: int) -> dict:
+    """Sparse sum of coef * vectors[idx] over idx -> coef, mod q, without
+    zero entries."""
+    out = {}
+    for idx, coef in coefs.items():
+        for r, v in vectors[idx].items():
+            out[r] = (out.get(r, 0) + coef * v) % q
+    return {r: v for r, v in out.items() if v}
+
+
 class TransformPair:
     """Accumulated invertible graded transforms (Q, Pinv).
 
@@ -252,18 +262,8 @@ class TransformPair:
         t_inv = np.asarray(t_inv, dtype=np.int64) % q
         old = [self.pinv_rows[p] for p in positions]
         for a, p in enumerate(positions):
-            new = {}
-            for b in range(len(positions)):
-                c = int(t_inv[a, b])
-                if c == 0:
-                    continue
-                for k, v in old[b].items():
-                    nv = (new.get(k, 0) + c * v) % q
-                    if nv:
-                        new[k] = nv
-                    elif k in new:
-                        del new[k]
-            self.pinv_rows[p] = new
+            self.pinv_rows[p] = sparse_combination(
+                {b: int(c) for b, c in enumerate(t_inv[a]) if c}, old, q)
 
     def check_graded(self, row_degrees, col_degrees) -> bool:
         """Q graded w.r.t. (G, G) and Pinv graded w.r.t. (R, R)."""

@@ -145,8 +145,12 @@ def _adjacent_maps_nonzero(m: GradedMatrix, axes, live) -> bool:
     return True
 
 
-def check_interval(m: GradedMatrix):
+def check_interval(m: GradedMatrix, dims=None):
     """Return an IntervalShape if m presents an interval module, else None.
+
+    dims, if given, is the dimension vector of dimension_grid(m) in
+    row-major order, as summand_signature(m) holds it; otherwise the grid
+    is built here when needed.
 
     On dimension_grid(m): pointwise dimension <= 1, support nonempty,
     order-convex and connected under grid adjacency, and every map between
@@ -165,7 +169,11 @@ def check_interval(m: GradedMatrix):
         return IntervalShape(m)
     if _thick_at_a_join(m):
         return None
-    axes, dims = dimension_grid(m)
+    if dims is None:
+        axes, dims = dimension_grid(m)
+    else:
+        axes = _grid_axes(m.row_degrees + m.col_degrees)
+        dims = np.reshape(dims, [len(ax) for ax in axes])
     live = dims == 1
     if (dims > 1).any() or not live.any():
         return None

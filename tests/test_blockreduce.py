@@ -30,23 +30,19 @@ class TestSolveClear:
         alpha = (4, 3)
         n_b = m.to_dense()[np.ix_(b_rows, [4])]
         n_c = m.to_dense()[np.ix_(c_rows, [4])]
-        lam_terms = [
-            (idx, matmul(qq, n_c, q))
-            for idx, (qq, _) in enumerate(hom_pairs(mc, mb))
-        ]
+        lam_terms = [matmul(qq, n_c, q) for qq, _ in hom_pairs(mc, mb)]
         low = [j for j, r in enumerate(mb.col_degrees) if all(
             x <= y for x, y in zip(r, alpha))]
-        col_terms = [("low", mb.to_dense()[:, low])] if low else []
-        sol = solve_clear([ClearTarget(n_b, lam_terms, col_terms)], q)
+        bu = mb.to_dense()[:, low]
+        sol = solve_clear([ClearTarget(n_b, lam_terms, bu)], q)
         assert sol is not None
         per_target, shared = sol
-        lams, colvals = per_target[0]
+        lams, u = per_target[0]
         # replay: the slice really becomes zero
         acc = n_b.copy()
-        for lam, (_, a) in zip(lams, lam_terms):
+        for lam, a in zip(lams, lam_terms):
             acc = (acc + lam * a) % q
-        for u, (_, b) in zip(colvals, col_terms):
-            acc = (acc + matmul(b, u, q)) % q
+        acc = (acc + matmul(bu, u, q)) % q
         assert not np.any(acc)
 
     def test_no_certificate_without_morphisms(self):
@@ -55,13 +51,12 @@ class TestSolveClear:
         n_b = m.to_dense()[np.ix_(b_rows, [4])]
         # type (b) operations alone cannot reach the slice
         low = [0]
-        sol = solve_clear(
-            [ClearTarget(n_b, [], [("low", mb.to_dense()[:, low])])], q
-        )
+        sol = solve_clear([ClearTarget(n_b, [], mb.to_dense()[:, low])], q)
         assert sol is None
 
     def test_zero_slice_trivial_certificate(self):
-        sol = solve_clear([ClearTarget(np.zeros((2, 1), dtype=np.int64))], 2)
+        sol = solve_clear([ClearTarget(np.zeros((2, 1), dtype=np.int64), [],
+                                       np.zeros((2, 0), dtype=np.int64))], 2)
         assert sol is not None
 
     def test_synthetic_exact_solution(self):
@@ -71,13 +66,11 @@ class TestSolveClear:
         b = rng.integers(0, q, size=(4, 3))
         lam_star, u_star = 2, rng.integers(0, q, size=(3, 2))
         c = (-(lam_star * a + b @ u_star)) % q
-        sol = solve_clear(
-            [ClearTarget(c, [("l", a)], [("c", b)])], q
-        )
+        sol = solve_clear([ClearTarget(c, [a], b)], q)
         assert sol is not None
         per_target, _ = sol
-        lams, colvals = per_target[0]
-        acc = (c + lams[0] * a + b @ colvals[0]) % q
+        lams, u = per_target[0]
+        acc = (c + lams[0] * a + b @ u) % q
         assert not np.any(acc)
 
     def test_success_invariant_under_column_basis_change(self):
@@ -89,7 +82,7 @@ class TestSolveClear:
         c = (-(b @ u_star)) % q
         t = np.array([[1, 1], [0, 1]], dtype=np.int64)
         for rhs in (c, (c @ t) % q):
-            sol = solve_clear([ClearTarget(rhs, [], [("c", b)])], q)
+            sol = solve_clear([ClearTarget(rhs, [], b)], q)
             assert sol is not None
 
     def test_shared_unknown_spans_targets(self):
@@ -98,9 +91,9 @@ class TestSolveClear:
         s2 = np.array([[1], [1]], dtype=np.int64)
         c1 = s1.copy()
         c2 = s2.copy()
-        sol = solve_clear(
-            [ClearTarget(c1), ClearTarget(c2)], q, shared=[s1, s2]
-        )
+        no_low = np.zeros((2, 0), dtype=np.int64)
+        sol = solve_clear([ClearTarget(c1, [], no_low),
+                           ClearTarget(c2, [], no_low)], q, shared=[s1, s2])
         assert sol is not None
         _, s_val = sol
         assert s_val.shape == (1, 1) and s_val[0, 0] == 1

@@ -17,6 +17,7 @@ from mpdec.decomposer import STRATEGIES, decompose, summand_signature
 from mpdec.fields import FieldConfig
 from mpdec.generators import gen_grid, gen_intervals, gen_random_er, mix
 from mpdec.grading import GradedMatrix
+from test_golden import _corpus as golden_corpus
 
 STRATS = ("exhaustive", "aida")
 
@@ -257,7 +258,7 @@ class TestClearPruning:
             trial, tgt_bids = current[-1]
             solves.append(tgt_bids)
             if (len(targets) == 1 and shared is None and targets[0].c.any()
-                    and not any(a.any() for _, a in targets[0].lam_terms)):
+                    and not any(a.any() for a in targets[0].lam_terms)):
                 # only where a clear's row additions reached the target
                 # outside the positions they zeroed
                 assert tgt_bids[0] in trial.unreduced
@@ -310,3 +311,32 @@ class TestClearPruning:
             assert unswept.verify()
             assert (unswept.signature_multiset()
                     == default.signature_multiset())
+
+
+class TestClearSources:
+    def test_sources_come_from_the_target_component(self, monkeypatch):
+        """Every clear runs inside _exhaustive_component and draws its
+        sources from the component it resolves, as in the paper's AIDA."""
+        stack, queried = [], []
+        component = decomposer._exhaustive_component
+        clear_sources = decomposer._State.clear_sources
+
+        def tracked_component(state, trial, bids, positions):
+            stack.append(set(bids))
+            try:
+                return component(state, trial, bids, positions)
+            finally:
+                stack.pop()
+
+        def tracked_clear_sources(state, src_bid, tgt_bid, alpha):
+            assert stack and {src_bid, tgt_bid} <= stack[-1]
+            queried.append(src_bid)
+            return clear_sources(state, src_bid, tgt_bid, alpha)
+
+        monkeypatch.setattr(decomposer, "_exhaustive_component",
+                            tracked_component)
+        monkeypatch.setattr(decomposer._State, "clear_sources",
+                            tracked_clear_sources)
+        for m in golden_corpus():
+            decompose(m)
+        assert queried

@@ -1,13 +1,17 @@
-"""Golden output: one SHA-256 over a fixed decomposition corpus.
+"""Golden output: a SHA-256 over a fixed decomposition corpus, one per
+setting of the ablation toggles use_sweep and use_homset.
 
 The digest covers, per input and in order, every summand text and the
 certificate payload exactly as `mpdec decompose -o` writes them
 (cli._write_artifacts), followed by the summand signatures. A refactor of
-the batch path that claims byte-identical outputs must leave it unchanged;
-a change that means to alter outputs updates GOLDEN and says why.
+the batch path that claims byte-identical outputs must leave them
+unchanged; a change that means to alter outputs updates GOLDEN or
+ABLATION_GOLDEN and says why.
 """
 
 import hashlib
+
+import pytest
 
 import fixtures
 from mpdec.cli import _write_artifacts
@@ -16,6 +20,17 @@ from mpdec.fields import FieldConfig
 from mpdec.generators import gen_grid, gen_intervals
 
 GOLDEN = "349171bdd18c0cc54e3100be3668f43941adfc6fddfa247f7dcd71658eecf115"
+
+# the same digest under the paper's ablation toggles (use_sweep, use_homset);
+# the default (True, True) is GOLDEN
+ABLATION_GOLDEN = {
+    (True, False):
+        "a92ae911c4e2dea70c5836b241f7e42829bff8988585ebe7f4257530d2b21259",
+    (False, True):
+        "e8b9261ee8d5cfc0901c46278f0236f10925bb29c6662e41f618dc9c39f1bab0",
+    (False, False):
+        "1e04333a797758052c9c451c252f9673a26e329e274843cbc6b69469f09f54aa",
+}
 
 
 def _corpus():
@@ -37,14 +52,24 @@ def _corpus():
     return out
 
 
-def test_golden_digest(tmp_path):
+def _digest(tmp_path, **toggles):
     h = hashlib.sha256()
     for n, m in enumerate(_corpus()):
-        report = decompose(m)
+        report = decompose(m, **toggles)
         outdir = tmp_path / str(n)
         _write_artifacts(report, outdir)
         for path in sorted(outdir.iterdir()):
             h.update(path.name.encode())
             h.update(path.read_bytes())
         h.update(repr(report.signatures).encode())
-    assert h.hexdigest() == GOLDEN
+    return h.hexdigest()
+
+
+def test_golden_digest(tmp_path):
+    assert _digest(tmp_path) == GOLDEN
+
+
+@pytest.mark.parametrize("use_sweep, use_homset", sorted(ABLATION_GOLDEN))
+def test_ablation_digest(tmp_path, use_sweep, use_homset):
+    assert _digest(tmp_path, use_sweep=use_sweep, use_homset=use_homset) \
+        == ABLATION_GOLDEN[use_sweep, use_homset]

@@ -241,6 +241,8 @@ class TestDimensionGrid:
                 tuple(ref_dims[idx] for idx in points))
             expected = _reference_is_interval(m)
             assert (check_interval(m) is not None) == expected
+            assert (check_interval(m, summand_signature(m)[2])
+                    is not None) == expected
             decisions.add((m.num_rows == 1, expected))
         assert {(True, True), (False, True), (False, False)} <= decisions
 
