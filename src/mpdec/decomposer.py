@@ -111,6 +111,7 @@ class _State:
         self._proper_cache = {}
         self._hom_cache = {}
         self._admissible_cache = {}
+        self._low_cache = {}
         # keyed by the batch degree too: emptied by begin_batch
         self._alpha_cache = {}
         self._cok_cache = {}
@@ -158,10 +159,24 @@ class _State:
         return sorted(out)
 
     def low_cols_dense(self, bid: int, alpha):
-        """Dense matrix of the block's columns of degree < alpha, over its rows."""
+        """The block's columns of degree < alpha: (dense matrix over its
+        rows, parent ids, column_echelon of the matrix or None).
+
+        Built once per block version and column set: proper columns change
+        only when merge bumps the version. The echelon form is built only
+        for the sweep, and only if there is a column.
+        """
         cols = [c for c in self.proper_cols(bid)
                 if leq(self.m.col_degrees[c], alpha)]
-        return self.m.dense_slice(self.blocks[bid].rows, cols), cols
+        key = (bid, self.blocks[bid].version, tuple(cols))
+        low = self._low_cache.get(key)
+        if low is None:
+            bu = self.m.dense_slice(self.blocks[bid].rows, cols)
+            ech = None
+            if cols and self.use_sweep:
+                ech = column_echelon(bu, self.q)
+            low = self._low_cache[key] = (bu, cols, ech)
+        return low
 
     # -- caches -------------------------------------------------------------
 
@@ -582,30 +597,25 @@ def _exhaustive_component(state: _State, trial: _Trial, bids, positions):
 # sweep
 
 
-def _sweep_block(state: _State, sl, cols, bu, u_cols):
-    """Reduce each pending column against the echelonized low-degree columns
-    bu (parent ids u_cols) of one block, by column operations only.
+def _sweep_block(state: _State, sl, cols, low):
+    """Reduce the pending columns against the echelonized low-degree columns
+    of one block (low_cols_dense), by column operations only.
 
     The block's dense slice sl of the pending columns is reduced in place:
-    afterwards it is zero at every pivot row of the echelon form.
+    afterwards it is zero at every pivot row of the echelon form. The
+    echelon form is the identity at its pivot rows, so the coefficients of
+    a column are its entries there, and one product reduces all columns.
     """
-    q = state.q
-    if not bu.shape[1]:
+    _, u_cols, ech = low
+    if ech is None:
         return
-    e, piv, t = column_echelon(bu, q)
-    for jc, j in enumerate(cols):
-        v = sl[:, jc]
-        if not v.any():
-            continue
-        combo = np.zeros(len(u_cols), dtype=np.int64)
-        for cidx, p in enumerate(piv):
-            if v[p]:
-                coef = int(v[p]) % q
-                v = (v - coef * e[:, cidx]) % q
-                combo = (combo - coef * t[:, cidx]) % q
-        sl[:, jc] = v
-        state.stats["sweep_ops"] += state.apply_col_solution(
-            combo.reshape(-1, 1), u_cols, [j])
+    q = state.q
+    e, piv, t = ech
+    r = len(piv)
+    c = sl[piv]
+    sl[...] = (sl - e[:, :r] @ c) % q
+    state.stats["sweep_ops"] += state.apply_col_solution(
+        (-t[:, :r] @ c) % q, u_cols, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -628,10 +638,10 @@ def _process_batch(state: _State, alpha, batch_cols):
     low = {b: state.low_cols_dense(b, alpha)
            for b in state.support_blocks(cols)}
     slices = {}
-    for b, (bu, u_cols) in low.items():
+    for b, lo in low.items():
         sl = state.m.dense_slice(state.blocks[b].rows, cols)
         if state.use_sweep:
-            _sweep_block(state, sl, cols, bu, u_cols)
+            _sweep_block(state, sl, cols, lo)
         if sl.any():
             slices[b] = sl
     trial = _Trial(state, slices, low, cols, alpha)

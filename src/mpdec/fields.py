@@ -125,22 +125,52 @@ def column_echelon(a: np.ndarray, q: int):
     return e, pivots, t
 
 
+def rref(a: np.ndarray, q: int, ncols=None):
+    """Reduced row echelon form R = T @ A for some invertible T, by row
+    operations on a row-major copy; T is not built.
+
+    Pivots are taken only in the first `ncols` columns (all by default), so
+    reducing [A | B] with ncols = A's width leaves T @ B on the right.
+
+    Returns:
+        (r, pivots): r[i] has its leading 1 in column pivots[i], which is
+        zero in every other row; pivots increase, and rows from
+        len(pivots) on are zero in the first ncols columns.
+    """
+    r = np.array(a, dtype=np.int64) % q
+    m, n = r.shape
+    ncols = n if ncols is None else ncols
+    inv = _field(q)._inv
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        if row == m:
+            break
+        nz = np.flatnonzero(r[row:, col])
+        if not nz.size:
+            continue
+        p = row + int(nz[0])
+        if p != row:
+            r[[row, p]] = r[[p, row]]
+        c = inv[r[row, col]]
+        if c != 1:
+            r[row, col:] = (r[row, col:] * c) % q
+        # columns left of col are zero in this row, so only col: changes
+        mask = r[:, col] != 0
+        mask[row] = False
+        if mask.any():
+            r[mask, col:] = (r[mask, col:]
+                             - r[mask, col:col + 1] * r[row, col:]) % q
+        pivots.append(col)
+        row += 1
+    return r, pivots
+
+
 def rank(a: np.ndarray, q: int) -> int:
     a = np.asarray(a, dtype=np.int64)
     if a.size == 0:
         return 0
-    _, pivots, _ = column_echelon(a, q)
-    return len(pivots)
-
-
-def row_reduce(a: np.ndarray, q: int):
-    """Reduced row echelon form R = T @ A with invertible T.
-
-    Returns:
-        (rref, pivot_cols, transform).
-    """
-    e, pivots, t = column_echelon(np.asarray(a, dtype=np.int64).T, q)
-    return e.T, pivots, t.T
+    return len(rref(a, q)[1])
 
 
 def solve(a: np.ndarray, b: np.ndarray, q: int):
@@ -160,18 +190,33 @@ def solve(a: np.ndarray, b: np.ndarray, q: int):
     m, n = a.shape
     if bb.shape[0] != m:
         raise ValueError("dimension mismatch")
-    rref, pivot_cols, t = row_reduce(a, q)
-    tb = matmul(t, bb, q)
+    r, pivot_cols = rref(np.hstack([a, bb]), q, ncols=n)
     # rows beyond the pivots must have zero rhs
-    r = len(pivot_cols)
-    if np.any(tb[r:, :] % q):
+    k = len(pivot_cols)
+    if r[k:, n:].any():
         return None
     x = np.zeros((n, bb.shape[1]), dtype=np.int64)
-    for i, pc in enumerate(pivot_cols):
-        x[pc, :] = tb[i, :]
+    x[pivot_cols] = r[:k, n:]
     if np.any(matmul(a, x, q) != bb):
         return None
     return x[:, 0] if single else x
+
+
+def kernel_support(a: np.ndarray, q: int) -> np.ndarray:
+    """Mask of the columns j with x[j] != 0 for some x in {x : A x = 0}.
+
+    The kernel is spanned by one vector per free column f of the RREF,
+    e_f minus the RREF's column f on the pivots, so its support is the
+    free columns plus every pivot column whose RREF row meets a free
+    column. It depends on no choice of basis. All False at full column
+    rank.
+    """
+    r, pivots = rref(a, q)
+    free = np.ones(r.shape[1], dtype=bool)
+    free[pivots] = False
+    support = free.copy()
+    support[pivots] = r[:len(pivots), free].any(axis=1)
+    return support
 
 
 def kernel_basis(a: np.ndarray, q: int) -> np.ndarray:

@@ -9,6 +9,8 @@ isomorphism; TransformPair accumulates them into a certificate.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .fields import FieldConfig
@@ -24,7 +26,7 @@ def leq(a: Degree, b: Degree) -> bool:
     """Componentwise a <= b in the product order."""
     if len(a) != len(b):
         raise ValueError("degree dimension mismatch")
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def join(a: Degree, b: Degree) -> Degree:
@@ -339,7 +341,7 @@ def minimize(m: GradedMatrix):
         "cancelled_pairs": list of (gen degree, rel degree) and
         "deleted_columns": count of redundant relations removed.
     """
-    from .fields import kernel_basis as _kernel_basis
+    from .fields import kernel_support as _kernel_support
     from .fields import solve as _solve
 
     q = m.field.q
@@ -403,12 +405,10 @@ def minimize(m: GradedMatrix):
         # a column can lie in the span of others only if it takes part in a
         # linear dependency of the whole component
         rows = sorted({i for c in comp for i in work.columns[c]})
-        kb = _kernel_basis(work.dense_slice(rows, comp), q)
-        if kb.shape[1] == 0:
+        support = _kernel_support(work.dense_slice(rows, comp), q)
+        if not support.any():
             continue
-        dependent = {
-            comp[b] for b in range(len(comp)) if np.any(kb[b, :] % q)
-        }
+        dependent = {comp[b] for b in range(len(comp)) if support[b]}
         for j in sorted(dependent, key=lambda c: colex_key(work.col_degrees[c]), reverse=True):
             others = [
                 c

@@ -3,15 +3,17 @@
 Every builder returns fresh objects, so tests may mutate them freely. All
 fixtures are over F_2 unless a field is passed in.
 
-The dense certificate reference at the end is what the tests compare
+The dense certificate reference is what the tests compare
 mpdec.certificate against; the program itself has only the sparse check.
+The column-echelon solve and rank at the end are the references for
+mpdec.fields' row-reduction kernel.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from mpdec.fields import FieldConfig, invert, modq
+from mpdec.fields import FieldConfig, column_echelon, invert, matmul, modq
 from mpdec.grading import GradedMatrix
 
 
@@ -215,3 +217,34 @@ def block_partition_holds(m, block_rows, block_cols) -> bool:
             and set(col_owner) == set(range(m.num_cols))
             and all(row_owner[i] == col_owner[j]
                     for j, col in enumerate(m.columns) for i in col))
+
+
+def reference_rank(a: np.ndarray, q: int) -> int:
+    """Rank as the pivot count of column_echelon."""
+    a = np.asarray(a, dtype=np.int64)
+    if a.size == 0:
+        return 0
+    return len(column_echelon(a, q)[1])
+
+
+def reference_solve(a: np.ndarray, b: np.ndarray, q: int):
+    """Solve A x = b, free variables zero, through the column echelon form
+    of A^T and its transform: the reference for fields.solve."""
+    a = modq(np.asarray(a, dtype=np.int64), q)
+    b = modq(np.asarray(b, dtype=np.int64), q)
+    single = b.ndim == 1
+    bb = b.reshape(-1, 1) if single else b
+    m, n = a.shape
+    if bb.shape[0] != m:
+        raise ValueError("dimension mismatch")
+    _, pivot_cols, t = column_echelon(a.T, q)
+    tb = matmul(t.T, bb, q)
+    r = len(pivot_cols)
+    if np.any(tb[r:, :] % q):
+        return None
+    x = np.zeros((n, bb.shape[1]), dtype=np.int64)
+    for i, pc in enumerate(pivot_cols):
+        x[pc, :] = tb[i, :]
+    if np.any(matmul(a, x, q) != bb):
+        return None
+    return x[:, 0] if single else x

@@ -1,5 +1,6 @@
 """Full decomposition pipeline and report certificates."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -340,3 +341,37 @@ class TestClearSources:
         for m in golden_corpus():
             decompose(m)
         assert queried
+
+
+class TestLowColumnCache:
+    def test_one_echelon_form_per_block_version(self, monkeypatch):
+        """low_cols_dense builds a block's low columns and their echelon
+        form once per (block, version, column set), across batches, and
+        what it hands out equals a fresh slice of the matrix."""
+        keys, echelons = [], []
+        low_cols_dense = decomposer._State.low_cols_dense
+        column_echelon = decomposer.column_echelon
+
+        def tracked_low_cols_dense(state, bid, alpha):
+            low = low_cols_dense(state, bid, alpha)
+            bu, u_cols, _ = low
+            assert np.array_equal(
+                bu, state.m.dense_slice(state.blocks[bid].rows, u_cols))
+            keys.append((bid, state.blocks[bid].version, tuple(u_cols)))
+            return low
+
+        def tracked_column_echelon(a, q):
+            echelons.append(a.shape)
+            return column_echelon(a, q)
+
+        monkeypatch.setattr(decomposer._State, "low_cols_dense",
+                            tracked_low_cols_dense)
+        monkeypatch.setattr(decomposer, "column_echelon",
+                            tracked_column_echelon)
+        repeated = 0
+        for m in _pruning_corpus():
+            del keys[:], echelons[:]
+            decompose(m)
+            assert len(echelons) == len({k for k in keys if k[2]})
+            repeated += len(keys) - len(set(keys))
+        assert repeated

@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fixtures import reference_rank, reference_solve
 from mpdec.fields import (
     FieldConfig,
     column_echelon,
     invert,
     kernel_basis,
+    kernel_support,
     matmul,
     rank,
-    row_reduce,
+    rref,
     solve,
 )
 
@@ -138,9 +140,79 @@ class TestColumnEchelon:
         assert invert(t, q) is not None
         assert np.array_equal(e, matmul(a, t, q))
 
-    def test_row_reduce_consistency(self):
-        a = np.array([[1, 1, 0], [0, 1, 1]])
-        r, piv, t = row_reduce(a, 2)
-        assert np.array_equal(r, matmul(t, a, 2))
-        assert len(piv) == 2
 
+@st.composite
+def systems(draw):
+    """(a, b, q): an m x n system over F_q with m, n in 0..5, k in 1..2
+    right-hand sides or a vector; columns and rows are repeated to make it
+    rank-deficient, and b is in the column span or arbitrary (usually
+    inconsistent)."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entries = st.integers(0, q - 1)
+    a = np.array(draw(st.lists(entries, min_size=m * n, max_size=m * n)),
+                 dtype=np.int64).reshape(m, n)
+    if n > 1 and draw(st.booleans()):
+        a[:, -1] = (draw(st.integers(0, q - 1)) * a[:, 0]) % q
+    if m > 1 and draw(st.booleans()):
+        a[-1] = a[0]
+    k = draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        x = np.array(draw(st.lists(entries, min_size=n * k, max_size=n * k)),
+                     dtype=np.int64).reshape(n, k)
+        b = matmul(a, x, q)
+    else:
+        b = np.array(draw(st.lists(entries, min_size=m * k, max_size=m * k)),
+                     dtype=np.int64).reshape(m, k)
+    return a, (b[:, 0] if draw(st.booleans()) else b), q
+
+
+def _is_rref(r, pivots, ncols):
+    if list(pivots) != sorted(set(pivots)) or any(p >= ncols for p in pivots):
+        return False
+    for i, p in enumerate(pivots):
+        col = np.zeros(r.shape[0], dtype=np.int64)
+        col[i] = 1
+        if r[i, :p].any() or not np.array_equal(r[:, p], col):
+            return False
+    return not r[len(pivots):, :ncols].any()
+
+
+class TestRref:
+    @settings(deadline=None, max_examples=150)
+    @given(systems(), st.data())
+    def test_rref_consistency(self, system, data):
+        """r = T @ a for an invertible T, in the documented form."""
+        r, piv = rref(np.array([[1, 1, 0], [0, 1, 1]]), 2)
+        assert r.tolist() == [[1, 0, 1], [0, 1, 1]] and piv == [0, 1]
+        a, _, q = system
+        before = a.copy()
+        ncols = data.draw(st.integers(0, a.shape[1]))
+        r, piv = rref(a, q, ncols=ncols)
+        assert np.array_equal(a, before)
+        assert r.shape == a.shape
+        assert _is_rref(r, piv, ncols)
+        # an invertible T exists iff r and a have the same row space
+        rk = reference_rank(a, q)
+        assert reference_rank(r, q) == rk
+        assert reference_rank(np.vstack([a, r]), q) == rk
+        # its left part is the unique RREF of a's left part
+        assert np.array_equal(r[:, :ncols], rref(a[:, :ncols], q)[0])
+
+    @settings(deadline=None, max_examples=300)
+    @given(systems())
+    def test_solve_and_rank_match_the_column_echelon_reference(self, system):
+        a, b, q = system
+        got, want = solve(a, b, q), reference_solve(a, b, q)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got, want)
+        assert rank(a, q) == reference_rank(a, q)
+
+    @settings(deadline=None, max_examples=150)
+    @given(systems())
+    def test_kernel_support_is_kernel_basis_support(self, system):
+        a, _, q = system
+        kb = kernel_basis(a, q)
+        want = kb.any(axis=1) if kb.size else np.zeros(a.shape[1], bool)
+        assert kernel_support(a, q).tolist() == want.tolist()

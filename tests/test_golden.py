@@ -1,5 +1,6 @@
 """Golden output: a SHA-256 over a fixed decomposition corpus, one per
-setting of the ablation toggles use_sweep and use_homset.
+setting of the ablation toggles use_sweep and use_homset, and one over
+minimize's outputs on raw generator inputs.
 
 The digest covers, per input and in order, every summand text and the
 certificate payload exactly as `mpdec decompose -o` writes them
@@ -14,10 +15,13 @@ import hashlib
 import pytest
 
 import fixtures
+from mpdec import generators
 from mpdec.cli import _write_artifacts
 from mpdec.decomposer import decompose
 from mpdec.fields import FieldConfig
 from mpdec.generators import gen_grid, gen_intervals
+from mpdec.grading import minimize
+from mpdec.sccio import write_scc2020
 
 GOLDEN = "349171bdd18c0cc54e3100be3668f43941adfc6fddfa247f7dcd71658eecf115"
 
@@ -31,6 +35,10 @@ ABLATION_GOLDEN = {
     (False, False):
         "1e04333a797758052c9c451c252f9673a26e329e274843cbc6b69469f09f54aa",
 }
+
+# minimize on the raw inputs of gen_grid and gen_random_er (_raw_inputs)
+MINIMIZE_GOLDEN = (
+    "27e7a652fa6e0ce01c5205c79e996a117813b8c50935a593ea9cef31bde31040")
 
 
 def _corpus():
@@ -73,3 +81,37 @@ def test_golden_digest(tmp_path):
 def test_ablation_digest(tmp_path, use_sweep, use_homset):
     assert _digest(tmp_path, use_sweep=use_sweep, use_homset=use_homset) \
         == ABLATION_GOLDEN[use_sweep, use_homset]
+
+
+def _raw_inputs(monkeypatch):
+    """The 200 presentations that gen_grid and gen_random_er assemble for
+    seeds 0..99 (even seeds over F_2, odd over F_3), before minimizing."""
+    raw = []
+
+    def capture(m):
+        raw.append(m.copy())
+        return minimize(m)
+
+    monkeypatch.setattr(generators, "minimize", capture)
+    for seed in range(100):
+        fq = FieldConfig(2 if seed % 2 == 0 else 3)
+        generators.gen_grid(12, 24, 4, 0.3, seed, field=fq)
+        generators.gen_random_er(10, 16, 0.4, seed, field=fq)
+    return raw
+
+
+def test_minimize_digest(monkeypatch):
+    """Which of two equal-degree redundant columns minimize deletes
+    follows the iteration order of its set of dependent columns; the
+    generators' instances depend on that choice."""
+    raw = _raw_inputs(monkeypatch)
+    assert len(raw) == 200
+    h = hashlib.sha256()
+    deleted = 0
+    for m in raw:
+        out, report = minimize(m)
+        deleted += report["deleted_columns"]
+        h.update(write_scc2020(out).encode())
+        h.update(repr(report).encode())
+    assert deleted > 1000
+    assert h.hexdigest() == MINIMIZE_GOLDEN
