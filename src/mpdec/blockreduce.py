@@ -87,6 +87,41 @@ def solve_clear(targets, q: int, shared=None):
     return out, (None if shared is None else x[c0:].reshape(-1, k))
 
 
+def solve_one_entry(c: int, terms, low: np.ndarray, field):
+    """solve_clear's solution, in closed form, for one target whose slice
+    is a single nonzero entry c (one row, k = 1), without a shared matrix.
+
+    The system is one equation, c + sum_i lam_i a_i + low @ u = 0, with
+    the unknowns in solve_clear's order: the lam_i, then u. Its RREF
+    solution puts -c / a_p on the first nonzero coefficient a_p and zero
+    everywhere else, and there is none if every coefficient is zero. So
+    `terms` is read only up to a_p, and may be a lazy iterable.
+
+    Args:
+        c: the entry to zero.
+        terms: (a, meta) pairs in unknown order, a the 1x1 coefficient
+            matrix of one lam and meta whatever the caller attaches to it.
+        low: the target's low-degree columns, shape (1, f).
+        field: FieldConfig of the system.
+
+    Returns:
+        None if unsolvable, else (lams, metas, U): the nonzero lam values
+        with the metas of their terms (one each, or none when the low
+        columns solve it) and U of shape (f, 1).
+    """
+    q = field.q
+    u_mat = np.zeros((low.shape[1], 1), dtype=np.int64)
+    for a, meta in terms:
+        a = int(a[0, 0]) % q
+        if a:
+            return [-c * field.inv(a) % q], [meta], u_mat
+    for j, a in enumerate(low[0].tolist()):
+        if a % q:
+            u_mat[j, 0] = -c * field.inv(a) % q
+            return [], [], u_mat
+    return None
+
+
 def apply_hom_pair(m: GradedMatrix, tp: TransformPair, tgt_rows, tgt_cols,
                    src_rows, src_cols, qq: np.ndarray, pp: np.ndarray):
     """Add Q times the source block's rows into the target block's rows.

@@ -427,16 +427,16 @@ class _Trial:
 # clearing solves on trial slices
 
 
-def _collect_lam_terms(state: _State, trial: _Trial, tgt_bid, positions,
-                       source_bids, alpha):
-    lam_terms, lam_meta = [], []
+def _lam_terms(state: _State, trial: _Trial, tgt_bid, positions,
+               source_bids, alpha):
+    """Yield (A, (src, Q, P)) per morphism pair of each source block whose
+    slice is nonzero, in order; a source is queried only when reached."""
     for src in source_bids:
         if not trial.slices[src].any():
             continue
         for qq, pp in state.clear_sources(src, tgt_bid, alpha):
-            lam_terms.append((qq @ trial.slices[src][:, positions]) % state.q)
-            lam_meta.append((src, qq, pp))
-    return lam_terms, lam_meta
+            yield ((qq @ trial.slices[src][:, positions]) % state.q,
+                   (src, qq, pp))
 
 
 def _group_sources(lams, lam_meta, q):
@@ -463,7 +463,8 @@ def _try_clear(state: _State, trial: _Trial, tgt_bids, positions,
     every source block's s_pos slice is already zero, the recorded
     per-target clears and the single global column operation commute, so
     they can be applied in sequence. Returns True and records the
-    operations on success.
+    operations on success. A one-entry system is solved in closed form
+    (blockreduce.solve_one_entry), which reads the sources lazily.
 
     Without s_pos and after the sweep, a nonzero target that no source
     reaches fails at once: the sweep leaves every slice column zero at the
@@ -479,10 +480,23 @@ def _try_clear(state: _State, trial: _Trial, tgt_bids, positions,
         return True
     tgt_set = set(tgt_bids)
     src_pool = [b for b in source_bids if b not in tgt_set]
+    if len(tgt_bids) == 1 and not len(s_pos) and cs[0].size == 1:
+        tgt = tgt_bids[0]
+        sol = blockreduce.solve_one_entry(
+            int(cs[0][0, 0]),
+            _lam_terms(state, trial, tgt, positions, src_pool, alpha),
+            trial.low[tgt][0], state.m.field)
+        if sol is None:
+            return False
+        lams, lam_meta, u_mat = sol
+        trial.clear(tgt, positions, _group_sources(lams, lam_meta, state.q),
+                    u_mat)
+        return _check_cleared(trial, tgt_bids, positions)
     targets, metas = [], []
     for tgt, c in zip(tgt_bids, cs):
-        lam_terms, lam_meta = _collect_lam_terms(
-            state, trial, tgt, positions, src_pool, alpha)
+        terms = list(_lam_terms(state, trial, tgt, positions, src_pool, alpha))
+        lam_terms = [a for a, _ in terms]
+        lam_meta = [meta for _, meta in terms]
         if (state.use_sweep and not len(s_pos) and c.any()
                 and tgt not in trial.unreduced
                 and not any(a.any() for a in lam_terms)):
@@ -503,6 +517,11 @@ def _try_clear(state: _State, trial: _Trial, tgt_bids, positions,
             trial.clear(tgt, positions, sources, u_mat)
     if s_val is not None and s_val.any():
         trial.col_ops(source_bids, s_pos, positions, s_val)
+    return _check_cleared(trial, tgt_bids, positions)
+
+
+def _check_cleared(trial: _Trial, tgt_bids, positions) -> bool:
+    """True once every target's slice at `positions` is zero; else raise."""
     for tgt in tgt_bids:
         if trial.nonzero(tgt, positions):
             raise DecompositionError("solved clearing left a nonzero slice")

@@ -1,6 +1,9 @@
 """Slice-clearing systems and tracked application of morphism pairs."""
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtures import clearing_fixture
 from mpdec.blockreduce import (
@@ -8,10 +11,11 @@ from mpdec.blockreduce import (
     apply_col_combo,
     apply_hom_pair,
     solve_clear,
+    solve_one_entry,
 )
 from mpdec.certificate import transform_errors
-from mpdec.decomposer import decompose
-from mpdec.fields import matmul
+from mpdec.decomposer import _group_sources, decompose
+from mpdec.fields import FieldConfig, matmul
 from mpdec.grading import TransformPair
 from mpdec.hom import hom_pairs
 
@@ -97,6 +101,105 @@ class TestSolveClear:
         assert sol is not None
         _, s_val = sol
         assert s_val.shape == (1, 1) and s_val[0, 0] == 1
+
+
+def _clear_by_solve_clear(c, terms, low, q):
+    """The general path: every term into solve_clear, grouped per source;
+    (sources, U) as _try_clear hands them to trial.clear, or None."""
+    sol = solve_clear([ClearTarget(np.array([[c]], dtype=np.int64),
+                                   [a for a, _ in terms], low)], q)
+    if sol is None:
+        return None
+    (lams, u_mat), = sol[0]
+    return _group_sources(lams, [meta for _, meta in terms], q), u_mat
+
+
+def _clear_in_closed_form(c, terms, low, q):
+    sol = solve_one_entry(c, iter(terms), low, FieldConfig(q))
+    if sol is None:
+        return None
+    lams, metas, u_mat = sol
+    return _group_sources(lams, metas, q), u_mat
+
+
+def _same_clear(x, y):
+    if x is None or y is None:
+        return x is None and y is None
+    (sx, ux), (sy, uy) = x, y
+    return (np.array_equal(ux, uy) and len(sx) == len(sy)
+            and all(a == b and np.array_equal(qa, qb)
+                    and np.array_equal(pa, pb)
+                    for (a, qa, pa), (b, qb, pb) in zip(sx, sy)))
+
+
+def _term(a, src, qq, pp):
+    return (np.array([[a]], dtype=np.int64),
+            (src, np.array([qq], dtype=np.int64),
+             np.array([pp], dtype=np.int64)))
+
+
+@st.composite
+def one_entry_systems(draw):
+    """(q, c, terms, low): one equation c + sum lam_i a_i + low @ u = 0,
+    with one to three morphism pairs per source."""
+    q = draw(st.sampled_from((2, 3, 5)))
+    # zero about half the time, so that leading zero coefficients, systems
+    # solved by the low columns only and all-zero systems all occur
+    coef = st.one_of(st.just(0), st.integers(1, q - 1))
+    entries = st.lists(st.integers(0, q - 1), min_size=2, max_size=2)
+    terms = []
+    for src in range(draw(st.integers(0, 3))):
+        for _ in range(draw(st.integers(1, 3))):
+            terms.append(_term(draw(coef), src, draw(entries), draw(entries)))
+    low = np.array(draw(st.lists(coef, max_size=3)), dtype=np.int64)
+    return q, draw(st.integers(1, q - 1)), terms, low.reshape(1, -1)
+
+
+class TestSolveOneEntry:
+    """The closed form records what solve_clear plus _group_sources
+    record, and reads no term past the one it uses."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(one_entry_systems())
+    def test_matches_solve_clear(self, system):
+        q, c, terms, low = system
+        assert _same_clear(_clear_in_closed_form(c, terms, low, q),
+                           _clear_by_solve_clear(c, terms, low, q))
+
+    @pytest.mark.parametrize("q", (2, 3, 5))
+    @pytest.mark.parametrize("srcs, used, low", [
+        # leading zero coefficients: the third term is the first nonzero
+        ((0, 1, 2, 2), 2, [1]),
+        # several pairs per source: the second pair of source 0
+        ((0, 0, 1), 1, []),
+        # no term reaches the entry: the second low column solves it
+        ((0, 1), None, [0, 1]),
+        # every coefficient zero: no solution
+        ((0, 1), None, [0, 0]),
+    ])
+    def test_named_cases(self, q, srcs, used, low):
+        # coefficient 1 from the used term on, 0 before it
+        terms = [_term(int(used is not None and i >= used), src, [1, 1], [1])
+                 for i, src in enumerate(srcs)]
+        low = np.array([low], dtype=np.int64).reshape(1, -1)
+        read = []
+
+        def lazy():
+            for t in terms:
+                read.append(t)
+                yield t
+
+        sol = solve_one_entry(1, lazy(), low, FieldConfig(q))
+        assert _same_clear(_clear_in_closed_form(1, terms, low, q),
+                           _clear_by_solve_clear(1, terms, low, q))
+        if used is not None:
+            assert len(read) == used + 1 and sol[1][0] is terms[used][1]
+            assert sol[0] == [q - 1] and not sol[2].any()
+        elif low.any():
+            assert len(read) == len(terms) and sol[:2] == ([], [])
+            assert sol[2][:, 0].tolist() == [0, q - 1]
+        else:
+            assert sol is None
 
 
 class TestApplyHomPair:

@@ -1,14 +1,20 @@
 """Command-line interface: commands, schemas, and exit codes."""
 
+import ast
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import mpdec
 from fixtures import chain_digraph_matrix, clearing_fixture, staircase_pair
 from mpdec.cli import main
-from mpdec.generators import gen_intervals
+from mpdec.fields import FieldConfig
+from mpdec.generators import gen_grid, gen_intervals
 from mpdec.grading import GradedMatrix
 from mpdec.sccio import parse_scc2020, write_scc2020
 
@@ -372,3 +378,38 @@ class TestBench:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "--repeats" in result.output
+
+
+class TestOptimizedInterpreter:
+    """The invariants still hold under python -O, which strips asserts."""
+
+    def test_no_assert_in_the_package(self):
+        package = Path(mpdec.__file__).parent
+        found = [f"{path.name}:{node.lineno}"
+                 for path in sorted(package.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Assert)]
+        assert found == []
+
+    def test_decompose_with_verify_under_dash_o(self, runner, tmp_path):
+        m, _ = gen_grid(40, 40, 3, 0.08, 41, field=FieldConfig(3))
+        path = tmp_path / "grid.scc2020"
+        path.write_text(write_scc2020(m))
+        args = ["decompose", str(path), "--field", "3", "--verify", "-o"]
+        result = runner.invoke(main, args + [str(tmp_path / "plain")])
+        assert result.exit_code == 0
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(mpdec.__file__).parents[1]),
+                        env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "mpdec.cli", *args,
+             str(tmp_path / "optimized")],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        plain = sorted((tmp_path / "plain").iterdir())
+        optimized = sorted((tmp_path / "optimized").iterdir())
+        assert [f.name for f in plain] == [f.name for f in optimized]
+        assert len(plain) > 2
+        for a, b in zip(plain, optimized):
+            assert a.read_bytes() == b.read_bytes()

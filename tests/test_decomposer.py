@@ -234,6 +234,12 @@ def _pruning_corpus():
     return out
 
 
+def _one_entry(trial, tgt_bids, positions, s_pos):
+    """Whether _try_clear solves this clear in closed form."""
+    return (len(tgt_bids) == 1 and not len(s_pos)
+            and trial.slices[tgt_bids[0]][:, positions].size == 1)
+
+
 class TestClearPruning:
     """A clear the sweep rules out fails before any solve, and a failed
     single-block clear is not tried again before the next column transform.
@@ -244,14 +250,19 @@ class TestClearPruning:
         try_clear = decomposer._try_clear
         solve_clear = decomposer.blockreduce.solve_clear
 
-        def tracked_try_clear(state, trial, tgt_bids, *args, **kwargs):
+        def tracked_try_clear(state, trial, tgt_bids, positions, source_bids,
+                              alpha, s_pos=()):
             current.append((trial, tgt_bids))
             before = len(solves)
+            # a one-entry clear never reaches solve_clear, so only the
+            # others show the pruning
+            one_entry = _one_entry(trial, tgt_bids, positions, s_pos)
             try:
-                ok = try_clear(state, trial, tgt_bids, *args, **kwargs)
+                ok = try_clear(state, trial, tgt_bids, positions,
+                               source_bids, alpha, s_pos)
             finally:
                 current.pop()
-            if not ok and len(solves) == before:
+            if not ok and len(solves) == before and not one_entry:
                 pruned.append(tgt_bids)
             return ok
 
@@ -312,6 +323,49 @@ class TestClearPruning:
             assert unswept.verify()
             assert (unswept.signature_multiset()
                     == default.signature_multiset())
+
+
+class TestOneEntryClear:
+    def test_no_source_queried_past_the_chosen_one(self, monkeypatch):
+        """A one-entry clear that a source solves queries the nonzero
+        sources in order up to that one, and none after it."""
+        queried, recorded = [], []
+        checked, spared = [], []
+        try_clear = decomposer._try_clear
+        clear_sources = decomposer._State.clear_sources
+        trial_clear = decomposer._Trial.clear
+
+        def tracked_clear_sources(state, src_bid, tgt_bid, alpha):
+            queried.append(src_bid)
+            return clear_sources(state, src_bid, tgt_bid, alpha)
+
+        def tracked_clear(trial, tgt_bid, positions, sources, u_mat):
+            recorded.append(sources)
+            return trial_clear(trial, tgt_bid, positions, sources, u_mat)
+
+        def tracked_try_clear(state, trial, tgt_bids, positions, source_bids,
+                              alpha, s_pos=()):
+            del queried[:], recorded[:]
+            pool = [b for b in source_bids
+                    if b not in tgt_bids and trial.slices[b].any()]
+            one_entry = _one_entry(trial, tgt_bids, positions, s_pos)
+            ok = try_clear(state, trial, tgt_bids, positions, source_bids,
+                           alpha, s_pos)
+            if one_entry and ok and recorded and recorded[0]:
+                (src, _, _), = recorded[0]
+                assert queried == pool[:pool.index(src) + 1]
+                checked.append(src)
+                if src != pool[-1]:
+                    spared.append(src)
+            return ok
+
+        monkeypatch.setattr(decomposer, "_try_clear", tracked_try_clear)
+        monkeypatch.setattr(decomposer._State, "clear_sources",
+                            tracked_clear_sources)
+        monkeypatch.setattr(decomposer._Trial, "clear", tracked_clear)
+        for m in _pruning_corpus():
+            decompose(m)
+        assert checked and spared
 
 
 class TestClearSources:
