@@ -155,7 +155,7 @@ def cmd_decompose(input_path, field, strategy, no_sweep, no_homset,
             use_homset=not no_homset,
             verify=do_verify,
         )
-    except (DecompositionError, AssertionError) as ex:
+    except DecompositionError as ex:
         click.echo(f"internal error: {ex}", err=True)
         sys.exit(EXIT_INTERNAL)
     if output_dir:
@@ -452,7 +452,7 @@ def cmd_hom(src_path, tgt_path, field, alpha):
                 f"degree {alpha!r} has {len(point)} coordinate(s), the "
                 f"presentations have {dims.pop()} parameter(s)"
             )
-        local = alpha_quotient(hom, src, tgt, point)
+        local = alpha_quotient(hom.pairs, src, tgt, point)
         click.echo(f"dim Hom^alpha = {local.dim}")
 
 

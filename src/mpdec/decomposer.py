@@ -31,13 +31,9 @@ from .grading import (
     sort_and_batch,
     sparse_combination,
 )
-from .hom import (
-    HomBasis,
-    alpha_quotient,
-    cokernel_at,
-    hom_pairs,
-    single_generator_reps,
-)
+# hom_pairs: perfbench/test_perfbench.py::
+# test_tracer_reaches_every_binding_and_restores_it checks this binding
+from .hom import BlockHom, hom_pairs  # noqa: F401
 from .intervals import check_interval, dimension_grid
 from .subspaces import generate_dec
 
@@ -83,15 +79,18 @@ def _support_components(bids, cols, support):
 
 
 class Block:
-    """A row/column index pair presenting one (tentative) summand."""
+    """A row/column index pair presenting one (tentative) summand, with its
+    proper presentation and low-column slices (_State.proper_matrix,
+    low_cols_dense), which merge resets."""
 
-    __slots__ = ("bid", "rows", "cols", "version")
+    __slots__ = ("bid", "rows", "cols", "proper", "low")
 
     def __init__(self, bid: int, rows, cols):
         self.bid = bid
         self.rows = sorted(rows)
         self.cols = sorted(cols)
-        self.version = 0
+        self.proper = None
+        self.low = {}
 
     def __repr__(self):
         return f"Block({self.bid}, rows={self.rows}, cols={self.cols})"
@@ -102,19 +101,11 @@ class _State:
         self.m = m
         self.q = m.field.q
         self.use_sweep = use_sweep
-        self.use_homset = use_homset
+        self.hom = BlockHom(use_homset)
         self.tp = TransformPair(m.num_rows, m.num_cols, m.field)
         # one block per generator to start with; block ids are row indices
         self.blocks = {i: Block(i, [i], []) for i in range(m.num_rows)}
         self.row_block = list(range(m.num_rows))
-        # keyed by block versions: valid across batches
-        self._proper_cache = {}
-        self._hom_cache = {}
-        self._admissible_cache = {}
-        self._low_cache = {}
-        # keyed by the batch degree too: emptied by begin_batch
-        self._alpha_cache = {}
-        self._cok_cache = {}
         # blocks that received columns of the batch in progress
         self._holds_batch = set()
         self.stats = {
@@ -133,8 +124,7 @@ class _State:
         A block gets columns of the batch in progress only when its
         component is merged, and no later query of that batch touches it:
         the components are disjoint. So every column of a queried block is
-        proper, and its proper presentation changes only when merge bumps
-        its version.
+        proper, and its proper presentation changes only at a merge.
         """
         if bid in self._holds_batch:
             raise DecompositionError(
@@ -142,13 +132,11 @@ class _State:
         return self.blocks[bid].cols
 
     def proper_matrix(self, bid: int) -> GradedMatrix:
-        key = (bid, self.blocks[bid].version)
-        cached = self._proper_cache.get(key)
-        if cached is None:
-            cached = self.m.submatrix(self.blocks[bid].rows,
-                                      self.proper_cols(bid))
-            self._proper_cache[key] = cached
-        return cached
+        """The block's proper presentation: one object until its next merge."""
+        b = self.blocks[bid]
+        if b.proper is None:
+            b.proper = self.m.submatrix(b.rows, self.proper_cols(bid))
+        return b.proper
 
     def support_blocks(self, cols):
         """Blocks owning a row with an entry in any of the given columns."""
@@ -162,95 +150,32 @@ class _State:
         """The block's columns of degree < alpha: (dense matrix over its
         rows, parent ids, column_echelon of the matrix or None).
 
-        Built once per block version and column set: proper columns change
-        only when merge bumps the version. The echelon form is built only
-        for the sweep, and only if there is a column.
+        Built once per column set until the block's next merge: proper
+        columns change only there. The echelon form is built only for the
+        sweep, and only if there is a column.
         """
+        b = self.blocks[bid]
         cols = [c for c in self.proper_cols(bid)
                 if leq(self.m.col_degrees[c], alpha)]
-        key = (bid, self.blocks[bid].version, tuple(cols))
-        low = self._low_cache.get(key)
+        key = tuple(cols)
+        low = b.low.get(key)
         if low is None:
-            bu = self.m.dense_slice(self.blocks[bid].rows, cols)
+            bu = self.m.dense_slice(b.rows, cols)
             ech = None
             if cols and self.use_sweep:
                 ech = column_echelon(bu, self.q)
-            low = self._low_cache[key] = (bu, cols, ech)
+            low = b.low[key] = (bu, cols, ech)
         return low
 
-    # -- caches -------------------------------------------------------------
-
-    def _pair_key(self, src_bid: int, tgt_bid: int):
-        return (src_bid, self.blocks[src_bid].version,
-                tgt_bid, self.blocks[tgt_bid].version)
-
-    def hom_between(self, src_bid: int, tgt_bid: int):
-        """Raw morphism pair basis between the blocks' proper presentations."""
-        key = self._pair_key(src_bid, tgt_bid)
-        pairs = self._hom_cache.get(key)
-        if pairs is None:
-            self.stats["hom_computations"] += 1
-            pairs = hom_pairs(self.proper_matrix(src_bid),
-                              self.proper_matrix(tgt_bid))
-            self._hom_cache[key] = pairs
-        return pairs
-
-    def q_admissible(self, src_bid: int, tgt_bid: int) -> bool:
-        """Whether some target generator lies below some source generator;
-        otherwise every morphism pair has Q = 0 and vanishes at any degree."""
-        key = self._pair_key(src_bid, tgt_bid)
-        ok = self._admissible_cache.get(key)
-        if ok is None:
-            degs = self.m.row_degrees
-            ok = any(leq(degs[i], degs[j])
-                     for i in self.blocks[tgt_bid].rows
-                     for j in self.blocks[src_bid].rows)
-            self._admissible_cache[key] = ok
-        return ok
-
-    def cok_at(self, bid: int, alpha):
-        key = (bid, self.blocks[bid].version, tuple(alpha))
-        if key not in self._cok_cache:
-            self._cok_cache[key] = cokernel_at(self.proper_matrix(bid), alpha)
-        return self._cok_cache[key]
-
-    def alpha_reps(self, src_bid: int, tgt_bid: int, alpha):
-        """Hom^alpha representative pairs between two blocks."""
-        key = self._pair_key(src_bid, tgt_bid) + (tuple(alpha),)
-        reps = self._alpha_cache.get(key)
-        if reps is not None:
-            return reps
-        src_rows = self.blocks[src_bid].rows
-        tgt_rows = self.blocks[tgt_bid].rows
-        if not self.q_admissible(src_bid, tgt_bid):
-            reps = []
-        elif len(src_rows) == len(tgt_rows) == 1:
-            reps = single_generator_reps(
-                self.proper_matrix(src_bid), self.proper_matrix(tgt_bid),
-                alpha, lambda: self.hom_between(src_bid, tgt_bid))
-        else:
-            raw = self.hom_between(src_bid, tgt_bid)
-            reps = alpha_quotient(
-                HomBasis(raw, len(raw), len(raw)),
-                self.proper_matrix(src_bid), self.proper_matrix(tgt_bid),
-                alpha,
-                cok_src=self.cok_at(src_bid, alpha),
-                cok_tgt=self.cok_at(tgt_bid, alpha),
-            ).representatives
-        self._alpha_cache[key] = reps
-        return reps
-
     def clear_sources(self, src_bid: int, tgt_bid: int, alpha):
-        if self.use_homset:
-            return self.alpha_reps(src_bid, tgt_bid, alpha)
-        return self.hom_between(src_bid, tgt_bid)
+        return self.hom.sources(self.proper_matrix(src_bid),
+                                self.proper_matrix(tgt_bid), alpha)
 
     def begin_batch(self):
-        """Start a batch: no block holds its columns yet, and the caches
-        keyed by the previous batch degree are dropped."""
+        """Start a batch: no block holds its columns yet, and the Hom data
+        of the previous batch degree is dropped."""
         self._holds_batch.clear()
-        self._alpha_cache.clear()
-        self._cok_cache.clear()
+        self.hom.new_batch()
 
     # -- structure updates --------------------------------------------------
 
@@ -270,7 +195,7 @@ class _State:
                 b.cols = sorted(b.cols + [c])
         if cols:
             self._holds_batch.add(keep)
-        b.version += 1
+        b.proper, b.low = None, {}
         if len(bids) > 1:
             self.stats["merges"] += 1
         return keep
@@ -770,6 +695,7 @@ def decompose(m: GradedMatrix, strategy: str = "exhaustive",
         bcols.append(list(blk.cols))
     timings["signatures"] = time.perf_counter() - t2
     timings["total"] = time.perf_counter() - t0
+    state.stats["hom_computations"] = state.hom.computations
     report = DecompositionReport(
         summands=summands,
         signatures=signatures,

@@ -6,7 +6,7 @@ solution space of that system overcounts: pairs of the form
 (M_tgt . S, S . M_src + P0) with M_tgt . P0 = 0 induce the zero map. The
 reported Hom dimension quotients those out; the localized space Hom^alpha
 keeps only classes whose induced map on cokernels at degree alpha is
-nonzero.
+nonzero. BlockHom finds and caches the pairs the decomposer's clears use.
 """
 
 from __future__ import annotations
@@ -200,40 +200,13 @@ def _generator_alive_at(m: GradedMatrix, alpha) -> bool:
     )
 
 
-def single_generator_reps(src: GradedMatrix, tgt: GradedMatrix, alpha,
-                          raw_pairs):
-    """Hom^alpha representatives between one-generator presentations.
-
-    Both cokernels at alpha have dimension 0 or 1, so the result equals
-    alpha_quotient(...).representatives without any elimination: empty
-    unless both generators are alive at alpha, otherwise the first raw pair
-    whose Q entry is nonzero (none exists unless the target generator lies
-    below the source generator).
-
-    Args:
-        src, tgt: one-row presentations.
-        alpha: the degree.
-        raw_pairs: zero-argument callable returning the raw pair basis
-            (hom_pairs(src, tgt)); called only when both generators are
-            alive at alpha.
-    """
-    if not (_generator_alive_at(src, alpha)
-            and _generator_alive_at(tgt, alpha)):
-        return []
-    q = src.field.q
-    for pair in raw_pairs():
-        if pair[0][0, 0] % q:
-            return [pair]
-    return []
-
-
-def alpha_quotient(hom: HomBasis, src: GradedMatrix, tgt: GradedMatrix,
+def alpha_quotient(pairs, src: GradedMatrix, tgt: GradedMatrix,
                    alpha, cok_src=None, cok_tgt=None) -> AlphaHomBasis:
-    """Pick the pairs of a HomBasis whose induced maps at alpha are
-    linearly independent, greedily in basis order.
+    """Pick the (Q, P) pairs whose induced maps at alpha are linearly
+    independent, greedily in list order.
 
-    Zero-inducing pairs vanish at alpha, so as many pairs are picked as
-    dim Hom^alpha.
+    Zero-inducing pairs vanish at alpha, so for a basis of the pair space
+    (hom_pairs, HomBasis.pairs) as many pairs are picked as dim Hom^alpha.
     """
     q = src.field.q
     if cok_src is None:
@@ -242,13 +215,85 @@ def alpha_quotient(hom: HomBasis, src: GradedMatrix, tgt: GradedMatrix,
         cok_tgt = cokernel_at(tgt, alpha)
     images = [
         induced_at_alpha(qq, src, tgt, cok_src, cok_tgt).ravel()
-        for qq, _ in hom.pairs
+        for qq, _ in pairs
     ]
     reps, rep_images = [], []
-    for pair, img in zip(hom.pairs, images):
+    for pair, img in zip(pairs, images):
         if img.size and np.any(img):
             cand = np.stack(rep_images + [img]) if rep_images else img.reshape(1, -1)
             if rank(cand.T, q) > len(rep_images):
                 rep_images.append(img)
                 reps.append(pair)
     return AlphaHomBasis(reps, len(reps))
+
+
+class BlockHom:
+    """The morphism pairs outright clears draw between blocks' proper
+    presentations.
+
+    A block hands out one presentation object until its next merge, so the
+    caches are keyed by the objects: raw bases and admissibility hold
+    across batches, Hom^alpha representatives and cokernels at alpha until
+    new_batch. `computations` counts the raw bases solved; without
+    `use_homset`, sources() gives raw bases.
+    """
+
+    def __init__(self, use_homset: bool):
+        self.use_homset = use_homset
+        self.computations = 0
+        self._pairs, self._admissible = {}, {}
+        self._reps, self._cok = {}, {}
+
+    def new_batch(self):
+        """Drop what depends on the batch degree alpha."""
+        self._reps.clear()
+        self._cok.clear()
+
+    def pairs(self, src: GradedMatrix, tgt: GradedMatrix):
+        """Raw morphism pair basis from src to tgt (hom_pairs), solved once."""
+        key = (src, tgt)
+        pairs = self._pairs.get(key)
+        if pairs is None:
+            self.computations += 1
+            pairs = self._pairs[key] = hom_pairs(src, tgt)
+        return pairs
+
+    def sources(self, src: GradedMatrix, tgt: GradedMatrix, alpha):
+        """The pairs a clear of tgt at degree alpha may draw from src."""
+        if not self.use_homset:
+            return self.pairs(src, tgt)
+        key = (src, tgt, alpha)
+        reps = self._reps.get(key)
+        if reps is None:
+            reps = self._reps[key] = self._alpha_reps(src, tgt, alpha)
+        return reps
+
+    def _alpha_reps(self, src: GradedMatrix, tgt: GradedMatrix, alpha):
+        """Hom^alpha representatives, as alpha_quotient picks them.
+
+        Unless some target generator lies below some source generator,
+        every pair has Q = 0 and vanishes at any degree. Between
+        one-generator presentations both cokernels at alpha have dimension
+        0 or 1: the representatives are none unless both generators are
+        alive at alpha, else the first raw pair whose Q entry is nonzero,
+        and the raw basis is solved only in that case.
+        """
+        key = (src, tgt)
+        if key not in self._admissible:
+            self._admissible[key] = any(
+                leq(t, s) for t in tgt.row_degrees for s in src.row_degrees)
+        if not self._admissible[key]:
+            return []
+        if src.num_rows == tgt.num_rows == 1:
+            if not (_generator_alive_at(src, alpha)
+                    and _generator_alive_at(tgt, alpha)):
+                return []
+            q = src.field.q
+            return next(([pair] for pair in self.pairs(src, tgt)
+                         if pair[0][0, 0] % q), [])
+        pairs = self.pairs(src, tgt)
+        for m in (src, tgt):
+            if (m, alpha) not in self._cok:
+                self._cok[m, alpha] = cokernel_at(m, alpha)
+        return alpha_quotient(pairs, src, tgt, alpha, self._cok[src, alpha],
+                              self._cok[tgt, alpha]).representatives

@@ -167,11 +167,11 @@ def check_interval(m: GradedMatrix, dims=None):
         if any(col and leq(r, g) for r, col in zip(m.col_degrees, m.columns)):
             return None
         return IntervalShape(m)
-    if _thick_at_a_join(m):
-        return None
     if dims is None:
+        if _thick_at_a_join(m):
+            return None
         axes, dims = dimension_grid(m)
-    else:
+    else:  # _thick_at_a_join's joins are grid points; dims > 1 rejects them
         axes = _grid_axes(m.row_degrees + m.col_degrees)
         dims = np.reshape(dims, [len(ax) for ax in axes])
     live = dims == 1

@@ -21,7 +21,7 @@ Meagher, "Erdos-Ko-Rado Theorems: Algebraic Approaches", 2016) at most
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, takewhile
 
 import numpy as np
 
@@ -39,39 +39,33 @@ def grassmannian_cells(k: int, l: int, q: int):
     if not (0 < l < k):
         return
     for pivots in combinations(range(k), l):
-        yield from _cells_for_pivots(k, l, q, pivots)
-
-
-def _cells_for_pivots(k: int, l: int, q: int, pivots):
-    pivot_set = set(pivots)
-    free = [
-        (r, c)
-        for c in range(l)
-        for r in range(pivots[c] + 1, k)
-        if r not in pivot_set
-    ]
-    base = np.zeros((k, l), dtype=np.int64)
-    for c, p in enumerate(pivots):
-        base[p, c] = 1
-    n_free = len(free)
-    counter = [0] * n_free
-    while True:
-        t1 = base.copy()
-        for (r, c), v in zip(free, counter):
-            t1[r, c] = v
-        yield t1, tuple(pivots)
-        # odometer step
-        i = 0
-        while i < n_free:
-            counter[i] += 1
-            if counter[i] < q:
+        pivot_set = set(pivots)
+        free = [
+            (r, c)
+            for c in range(l)
+            for r in range(pivots[c] + 1, k)
+            if r not in pivot_set
+        ]
+        base = np.zeros((k, l), dtype=np.int64)
+        for c, p in enumerate(pivots):
+            base[p, c] = 1
+        n_free = len(free)
+        counter = [0] * n_free
+        while True:
+            t1 = base.copy()
+            for (r, c), v in zip(free, counter):
+                t1[r, c] = v
+            yield t1, pivots
+            # odometer step
+            i = 0
+            while i < n_free:
+                counter[i] += 1
+                if counter[i] < q:
+                    break
+                counter[i] = 0
+                i += 1
+            if i == n_free:
                 break
-            counter[i] = 0
-            i += 1
-        else:
-            return
-        if n_free == 0:
-            return
 
 
 def complement(t1: np.ndarray, pivots, k: int) -> np.ndarray:
@@ -101,11 +95,12 @@ def generate_dec(k: int, q: int):
         yield np.zeros((1, 0), dtype=np.int64), np.eye(1, dtype=np.int64)
         return
     for l in range(1, k // 2 + 1):
-        for pivots in combinations(range(k), l):
-            if 2 * l == k and 0 not in pivots:
-                continue
-            for t1, piv in _cells_for_pivots(k, l, q, pivots):
-                yield t1, complement(t1, piv, k)
+        cells = grassmannian_cells(k, l, q)
+        if 2 * l == k:
+            # pivot sets containing row 0 come first in lexicographic order
+            cells = takewhile(lambda cell: cell[1][0] == 0, cells)
+        for t1, pivots in cells:
+            yield t1, complement(t1, pivots, k)
 
 
 def dec_count(k: int, q: int) -> int:

@@ -111,7 +111,7 @@ class TestHomDimensions:
         x, y, alpha = staircase_pair()
         hom = hom_space(x, y)
         assert hom.dim == 2
-        assert alpha_quotient(hom, x, y, alpha).dim == 1
+        assert alpha_quotient(hom.pairs, x, y, alpha).dim == 1
 
 
 class TestIntervalRecovery:

@@ -1,5 +1,7 @@
 """Full decomposition pipeline and report certificates."""
 
+from collections import defaultdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from fixtures import (
     join_pair_matrix,
     obstruction_matrix,
 )
-from mpdec import decomposer
+from mpdec import decomposer, hom
 from mpdec.decomposer import STRATEGIES, decompose, summand_signature
 from mpdec.fields import FieldConfig
 from mpdec.generators import gen_grid, gen_intervals, gen_random_er, mix
@@ -114,30 +116,51 @@ class TestCountersAndConservation:
             assert report.verify()
 
 
+def _track_versions(monkeypatch):
+    """Count each block's merges: its version is its state between two
+    merges. Returns the dict of counts, keyed by block id."""
+    versions = defaultdict(int)
+    merge = decomposer._State.merge
+
+    def tracked_merge(state, bids, cols):
+        keep = merge(state, bids, cols)
+        versions[keep] += 1
+        return keep
+
+    monkeypatch.setattr(decomposer._State, "merge", tracked_merge)
+    return versions
+
+
 class TestHomCache:
-    """Raw Hom bases are cached per block version, across batches."""
+    """Raw Hom bases are solved once per pair of block versions, across
+    batches: a block's proper presentation is one object until its next
+    merge, and BlockHom keys on the objects."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_each_version_pair_solved_once(self, seed, monkeypatch):
         asked, solved = [], []
-        hom_between = decomposer._State.hom_between
-        hom_pairs = decomposer.hom_pairs
+        clear_sources = decomposer._State.clear_sources
+        hom_pairs = hom.hom_pairs
+        versions = _track_versions(monkeypatch)
 
-        def tracked_hom_between(state, src_bid, tgt_bid):
-            asked.append((src_bid, state.blocks[src_bid].version,
-                          tgt_bid, state.blocks[tgt_bid].version))
+        def tracked_clear_sources(state, src_bid, tgt_bid, alpha):
+            asked.append((state, src_bid, tgt_bid))
             try:
-                return hom_between(state, src_bid, tgt_bid)
+                return clear_sources(state, src_bid, tgt_bid, alpha)
             finally:
                 asked.pop()
 
         def tracked_hom_pairs(src, tgt):
-            solved.append(asked[-1])
+            state, src_bid, tgt_bid = asked[-1]
+            assert src is state.blocks[src_bid].proper
+            assert tgt is state.blocks[tgt_bid].proper
+            solved.append((src_bid, versions[src_bid],
+                           tgt_bid, versions[tgt_bid]))
             return hom_pairs(src, tgt)
 
-        monkeypatch.setattr(decomposer._State, "hom_between",
-                            tracked_hom_between)
-        monkeypatch.setattr(decomposer, "hom_pairs", tracked_hom_pairs)
+        monkeypatch.setattr(decomposer._State, "clear_sources",
+                            tracked_clear_sources)
+        monkeypatch.setattr(hom, "hom_pairs", tracked_hom_pairs)
         m, _ = gen_intervals(100, seed=seed, mixed=True)
         report = decompose(m, strategy="interval_auto")
         assert solved
@@ -401,17 +424,19 @@ class TestLowColumnCache:
     def test_one_echelon_form_per_block_version(self, monkeypatch):
         """low_cols_dense builds a block's low columns and their echelon
         form once per (block, version, column set), across batches, and
-        what it hands out equals a fresh slice of the matrix."""
+        what it hands out equals a fresh slice of the matrix. A block's
+        version is its state between two merges."""
         keys, echelons = [], []
         low_cols_dense = decomposer._State.low_cols_dense
         column_echelon = decomposer.column_echelon
+        versions = _track_versions(monkeypatch)
 
         def tracked_low_cols_dense(state, bid, alpha):
             low = low_cols_dense(state, bid, alpha)
             bu, u_cols, _ = low
             assert np.array_equal(
                 bu, state.m.dense_slice(state.blocks[bid].rows, u_cols))
-            keys.append((bid, state.blocks[bid].version, tuple(u_cols)))
+            keys.append((bid, versions[bid], tuple(u_cols)))
             return low
 
         def tracked_column_echelon(a, q):
@@ -425,7 +450,32 @@ class TestLowColumnCache:
         repeated = 0
         for m in _pruning_corpus():
             del keys[:], echelons[:]
+            versions.clear()
             decompose(m)
             assert len(echelons) == len({k for k in keys if k[2]})
             repeated += len(keys) - len(set(keys))
         assert repeated
+
+    def test_merge_resets_derived_data(self):
+        """A block's proper presentation and low columns are one object
+        each until its next merge, and are then built anew with the
+        merged rows and columns."""
+        state = decomposer._State(join_pair_matrix(), True, True)
+        state.begin_batch()
+        proper = state.proper_matrix(0)
+        low = state.low_cols_dense(0, (3, 3))
+        assert state.proper_matrix(0) is proper
+        assert state.low_cols_dense(0, (3, 3)) is low
+        assert (proper.num_rows, proper.num_cols, low[1]) == (1, 0, [])
+        state.merge([0, 1], [0])
+        state.begin_batch()
+        merged = state.proper_matrix(0)
+        bu, cols, ech = state.low_cols_dense(0, (3, 3))
+        assert merged is not proper
+        assert (merged.num_rows, merged.num_cols, cols) == (2, 1, [0])
+        # the same (empty) column set as before the merge, over both rows
+        assert state.low_cols_dense(0, (1, 1))[0].shape == (2, 0)
+        fresh = state.m.dense_slice([0, 1], [0])
+        assert np.array_equal(merged.to_dense(), fresh)
+        assert np.array_equal(bu, fresh)
+        assert ech is not None

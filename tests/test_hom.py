@@ -10,12 +10,11 @@ from fixtures import chain_blocks, f2, join_pair_matrix, staircase_pair
 from mpdec.fields import FieldConfig, matmul
 from mpdec.grading import GradedMatrix
 from mpdec.hom import (
-    HomBasis,
+    BlockHom,
     alpha_quotient,
     cokernel_at,
     hom_pairs,
     hom_space,
-    single_generator_reps,
 )
 from mpdec.intervals import check_interval, interval_alpha_hom
 
@@ -82,19 +81,19 @@ class TestAlphaQuotient:
         x, y, alpha = staircase_pair()
         hom = hom_space(x, y)
         assert hom.dim == 2
-        local = alpha_quotient(hom, x, y, alpha)
+        local = alpha_quotient(hom.pairs, x, y, alpha)
         assert local.dim == 1
 
     def test_vanishing_below_support(self):
         m = join_pair_matrix()
         hom = hom_space(m, m.copy())
-        local = alpha_quotient(hom, m, m.copy(), (0, 0))
+        local = alpha_quotient(hom.pairs, m, m.copy(), (0, 0))
         assert local.dim == 0
 
     def test_identity_endomorphism_survives(self):
         _, c, _ = chain_blocks()
         hom = hom_space(c, c.copy())
-        local = alpha_quotient(hom, c, c.copy(), (1, 1))
+        local = alpha_quotient(hom.pairs, c, c.copy(), (1, 1))
         assert local.dim == 1
 
     def test_never_exceeds_hom_dim(self):
@@ -103,7 +102,7 @@ class TestAlphaQuotient:
             for tgt in (b, c, d):
                 hom = hom_space(src, tgt)
                 for alpha in [(1, 1), (1, 2), (2, 2), (1, 3)]:
-                    local = alpha_quotient(hom, src, tgt, alpha)
+                    local = alpha_quotient(hom.pairs, src, tgt, alpha)
                     assert local.dim <= hom.dim
                     assert local.dim == len(local.representatives)
 
@@ -121,7 +120,8 @@ def random_single_generator(rng, d, q):
 
 
 class TestSingleGeneratorReps:
-    """The closed form agrees with the generic alpha quotient."""
+    """BlockHom's closed form for one-generator presentations agrees with
+    the generic alpha quotient."""
 
     @pytest.mark.parametrize("q", [2, 3])
     @pytest.mark.parametrize("d", [2, 3])
@@ -131,13 +131,13 @@ class TestSingleGeneratorReps:
             src = random_single_generator(rng, d, q)
             tgt = random_single_generator(rng, d, q)
             pairs = hom_pairs(src, tgt)
-            hom = HomBasis(pairs, len(pairs), len(pairs))
+            block_hom = BlockHom(use_homset=True)
             degs = (src.row_degrees + src.col_degrees
                     + tgt.row_degrees + tgt.col_degrees)
             axes = [sorted({g[a] for g in degs}) for a in range(d)]
             for alpha in itertools.product(*axes):
-                fast = single_generator_reps(src, tgt, alpha, lambda: pairs)
-                slow = alpha_quotient(hom, src, tgt, alpha).representatives
+                fast = block_hom.sources(src, tgt, alpha)
+                slow = alpha_quotient(pairs, src, tgt, alpha).representatives
                 assert len(fast) == len(slow), (src, tgt, alpha)
                 for (fast_q, fast_p), (slow_q, slow_p) in zip(fast, slow):
                     assert np.array_equal(fast_q, slow_q)
@@ -145,10 +145,12 @@ class TestSingleGeneratorReps:
 
     def test_raw_pairs_only_when_alive(self):
         m = GradedMatrix([(1, 1)], [], field=f2())
-        called = []
-        assert single_generator_reps(
-            m, m.copy(), (0, 5), lambda: called.append(1)) == []
-        assert not called
+        tgt = m.copy()
+        block_hom = BlockHom(use_homset=True)
+        assert block_hom.sources(m, tgt, (0, 5)) == []
+        assert block_hom.computations == 0
+        assert len(block_hom.sources(m, tgt, (2, 2))) == 1
+        assert block_hom.computations == 1
 
 
 def interval_fixtures():
@@ -185,7 +187,8 @@ class TestIntervalAlphaHom:
                     if not (ssrc.contains(alpha) and stgt.contains(alpha)):
                         continue
                     fast = interval_alpha_hom(ssrc, stgt, alpha)
-                    general = alpha_quotient(hom, msrc, mtgt, alpha).dim > 0
+                    general = alpha_quotient(hom.pairs, msrc, mtgt,
+                                             alpha).dim > 0
                     assert fast == general
 
     def test_transitive(self):

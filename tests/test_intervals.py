@@ -92,6 +92,31 @@ class TestCheckInterval:
             _, dims = dimension_grid(m)
             assert (check_interval(m) is not None) == bool((dims == 1).any())
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_given_dims_decide_alone(self, seed):
+        """With the dimension vector given, check_interval skips the
+        thick-at-a-join pre-reject: such a join is a grid point of
+        dimension > 1, so the vector alone rejects it."""
+        rng = random.Random(seed)
+        cases = [join_pair_matrix(), antidiagonal_batch_matrix()]
+        for _ in range(60):
+            gens = [(rng.randrange(4), rng.randrange(4))
+                    for _ in range(rng.randrange(2, 4))]
+            rels = [(rng.randrange(5), rng.randrange(5))
+                    for _ in range(rng.randrange(5))]
+            m = GradedMatrix(gens, rels, field=f2())
+            for j, r in enumerate(rels):
+                m.columns[j] = {i: 1 for i, g in enumerate(gens)
+                                if leq(g, r) and rng.random() < 0.6}
+            cases.append(m)
+        rejected = 0
+        for m in cases:
+            _, dims = dimension_grid(m)
+            alone = check_interval(m, dims.ravel())
+            assert (alone is None) == (check_interval(m) is None)
+            rejected += alone is None and bool((dims > 1).any())
+        assert rejected
+
     def test_generated_intervals_detected(self):
         m, _ = gen_intervals(30, seed=3, mixed=False)
         report = decompose(m, strategy="interval_auto")
